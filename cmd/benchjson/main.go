@@ -8,9 +8,16 @@
 //
 // plus the goos/goarch/pkg/cpu header lines, and emits
 //
-//	{"goos": ..., "goarch": ..., "cpu": ..., "benchmarks": [
-//	  {"name": ..., "runs": ..., "ns_per_op": ..., "bytes_per_op": ...,
-//	   "allocs_per_op": ...}, ...]}
+//	{"goos": ..., "goarch": ..., "cpu": ..., "nproc": ..., "gomaxprocs": ...,
+//	 "go_version": ..., "benchmarks": [
+//	  {"name": ..., "pkg": ..., "runs": ..., "ns_per_op": ...,
+//	   "bytes_per_op": ..., "allocs_per_op": ...}, ...]}
+//
+// Each row carries the package of the most recent pkg: line before it, so
+// a transcript of several packages keeps every row's origin. gomaxprocs is
+// the -N suffix go test appends to benchmark names (absent means 1); nproc
+// and go_version describe the host and toolchain benchjson itself runs
+// on, which in the pipelines below are those of the benchmarks.
 //
 // Lines that are not benchmark results (PASS, ok, test logs) are ignored,
 // so the raw `go test` stream can be piped straight through:
@@ -52,27 +59,33 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 )
 
 type benchResult struct {
 	Name        string  `json:"name"`
+	Pkg         string  `json:"pkg,omitempty"`
 	Runs        int64   `json:"runs"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  float64 `json:"bytes_per_op,omitempty"`
 	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
 
 	samples int64
+	procs   int // GOMAXPROCS from the name's -N suffix
 }
 
 type benchFile struct {
 	Goos       string         `json:"goos,omitempty"`
 	Goarch     string         `json:"goarch,omitempty"`
-	Pkg        string         `json:"pkg,omitempty"`
 	CPU        string         `json:"cpu,omitempty"`
+	NumCPU     int            `json:"nproc,omitempty"`
+	GOMAXPROCS int            `json:"gomaxprocs,omitempty"`
+	GoVersion  string         `json:"go_version,omitempty"`
 	Benchmarks []*benchResult `json:"benchmarks"`
 }
 
@@ -96,47 +109,12 @@ func main() {
 		}
 		return
 	}
-	var out benchFile
-	index := map[string]*benchResult{}
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		switch {
-		case strings.HasPrefix(line, "goos: "):
-			out.Goos = strings.TrimPrefix(line, "goos: ")
-		case strings.HasPrefix(line, "goarch: "):
-			out.Goarch = strings.TrimPrefix(line, "goarch: ")
-		case strings.HasPrefix(line, "pkg: "):
-			out.Pkg = strings.TrimPrefix(line, "pkg: ")
-		case strings.HasPrefix(line, "cpu: "):
-			out.CPU = strings.TrimPrefix(line, "cpu: ")
-		case strings.HasPrefix(line, "Benchmark"):
-			if r := parseBenchLine(line); r != nil {
-				if prev, ok := index[r.Name]; ok {
-					// Average repeated -count runs weighted equally per
-					// line; sum the iteration counts.
-					prev.NsPerOp += r.NsPerOp
-					prev.BytesPerOp += r.BytesPerOp
-					prev.AllocsPerOp += r.AllocsPerOp
-					prev.Runs += r.Runs
-					prev.samples++
-				} else {
-					r.samples = 1
-					index[r.Name] = r
-					out.Benchmarks = append(out.Benchmarks, r)
-				}
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
+	out, err := parse(os.Stdin)
+	if err != nil {
 		log.Fatal(err)
 	}
-	for _, r := range out.Benchmarks {
-		r.NsPerOp /= float64(r.samples)
-		r.BytesPerOp /= float64(r.samples)
-		r.AllocsPerOp /= float64(r.samples)
-	}
+	out.NumCPU = runtime.NumCPU()
+	out.GoVersion = runtime.Version()
 	dst := os.Stdout
 	if *outPath != "" {
 		f, err := os.Create(*outPath)
@@ -156,6 +134,61 @@ func main() {
 			os.Exit(1)
 		}
 	}
+}
+
+// parse reads a go test -bench transcript. Rows repeated by -count are
+// averaged into one, keyed by package and name.
+func parse(r io.Reader) (benchFile, error) {
+	var out benchFile
+	type key struct{ pkg, name string }
+	index := map[key]*benchResult{}
+	pkg := ""
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		line := strings.TrimSpace(sc.Text())
+		switch {
+		case strings.HasPrefix(line, "goos: "):
+			out.Goos = strings.TrimPrefix(line, "goos: ")
+		case strings.HasPrefix(line, "goarch: "):
+			out.Goarch = strings.TrimPrefix(line, "goarch: ")
+		case strings.HasPrefix(line, "pkg: "):
+			pkg = strings.TrimPrefix(line, "pkg: ")
+		case strings.HasPrefix(line, "cpu: "):
+			out.CPU = strings.TrimPrefix(line, "cpu: ")
+		case strings.HasPrefix(line, "Benchmark"):
+			r := parseBenchLine(line)
+			if r == nil {
+				continue
+			}
+			r.Pkg = pkg
+			if out.GOMAXPROCS == 0 {
+				out.GOMAXPROCS = r.procs
+			}
+			if prev, ok := index[key{pkg, r.Name}]; ok {
+				// Average repeated -count runs weighted equally per
+				// line; sum the iteration counts.
+				prev.NsPerOp += r.NsPerOp
+				prev.BytesPerOp += r.BytesPerOp
+				prev.AllocsPerOp += r.AllocsPerOp
+				prev.Runs += r.Runs
+				prev.samples++
+			} else {
+				r.samples = 1
+				index[key{pkg, r.Name}] = r
+				out.Benchmarks = append(out.Benchmarks, r)
+			}
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return benchFile{}, err
+	}
+	for _, r := range out.Benchmarks {
+		r.NsPerOp /= float64(r.samples)
+		r.BytesPerOp /= float64(r.samples)
+		r.AllocsPerOp /= float64(r.samples)
+	}
+	return out, nil
 }
 
 // checkRegressions compares the fresh results against the committed
@@ -272,17 +305,19 @@ func parseBenchLine(line string) *benchResult {
 		return nil
 	}
 	name := f[0]
-	// Strip the -GOMAXPROCS suffix so rows are comparable across machines.
+	// Strip the -GOMAXPROCS suffix so rows are comparable across machines;
+	// go test omits it when GOMAXPROCS is 1.
+	procs := 1
 	if i := strings.LastIndexByte(name, '-'); i > 0 {
-		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			name = name[:i]
+		if n, err := strconv.Atoi(name[i+1:]); err == nil {
+			name, procs = name[:i], n
 		}
 	}
 	runs, err := strconv.ParseInt(f[1], 10, 64)
 	if err != nil {
 		return nil
 	}
-	r := &benchResult{Name: name, Runs: runs}
+	r := &benchResult{Name: name, Runs: runs, procs: procs}
 	ok := false
 	for i := 2; i+1 < len(f); i += 2 {
 		val, err := strconv.ParseFloat(f[i], 64)

@@ -22,8 +22,11 @@
 // multigraph flattened into CSR arrays, or (for hypercube/mesh/torus
 // machines built with topology.ImplicitWeakHypercube and friends) a
 // generator that computes neighbours on the fly — the difference between a
-// dim-20 hypercube being simulable or not. The two representations produce
-// byte-identical results; see pickHop and DESIGN.md.
+// dim-20 hypercube being simulable or not. Every pristine hypercube, mesh
+// or torus, in either representation, picks its hops with one closed-form
+// kernel per geometry; every other machine, and every faulted one, walks
+// BFS distance fields. The two representations produce byte-identical
+// results; see pickHop and DESIGN.md.
 //
 // The simulator can run sharded: the vertex set is partitioned across k
 // goroutines that exchange boundary packets through per-shard mailboxes
@@ -90,12 +93,11 @@ func (d Discipline) String() string {
 	}
 }
 
-// geomKind tags the implicit-adjacency fast paths.
+// geomKind tags the closed-form hop kernels.
 type geomKind int
 
 const (
-	geomNone geomKind = iota
-	geomHypercube
+	geomHypercube geomKind = iota
 	geomMesh
 	geomTorus
 )
@@ -116,37 +118,34 @@ type Engine struct {
 	// distPtrs caches per-destination BFS distance fields. Lazily filled
 	// with atomic publication so concurrent shards can warm it without
 	// locks: a racing recompute produces the identical field (BFS is
-	// deterministic) and the last store wins. Nil for implicit machines,
-	// whose fault-free distances are always analytic.
+	// deterministic) and the last store wins. Nil for implicit machines;
+	// unused on fault-free engines with a closed-form geometry.
 	distPtrs []atomic.Pointer[[]int]
 
-	// oracle, when non-nil, computes exact graph distance analytically
-	// (hypercube popcount, mesh/torus coordinate distance), replacing the
-	// O(N) BFS fields whose all-destination warmup is O(N^2) memory. Only
-	// installed when the machine's geometry provably matches its graph;
-	// faulted routing always falls back to masked BFS fields. Implicit
-	// machines always have one.
-	oracle func(u, v int) int
-
-	// Explicit adjacency, flattened CSR-style (nil for implicit machines):
-	// slot j in [edgeBase[u], edgeBase[u+1]) holds neighbour nbrV[j] with
-	// wire multiplicity nbrMult[j], neighbours ascending — directed edge id
-	// j. Sim uses the ids to keep per-tick wire usage in a flat array.
+	// Explicit adjacency, flattened CSR-style (nil for implicit machines,
+	// which tells the representations apart): slot j in
+	// [edgeBase[u], edgeBase[u+1]) holds neighbour nbrV[j] with wire
+	// multiplicity nbrMult[j], neighbours ascending — directed edge id j.
+	// Sim uses the ids to keep per-tick wire usage in a flat array.
 	nbrV     []int32
 	nbrMult  []int64
 	edgeBase []int32
 
-	// Implicit adjacency (geom != nil): neighbours are generated, and
-	// directed edge u->v gets id u*gDeg + rank(v), order-isomorphic to the
-	// CSR ids of the explicit twin (both number edges by (u asc, v asc)),
-	// so id-ordered tie-breaks agree between representations.
-	geom    *topology.Implicit
-	gk      geomKind
-	gOrder  int // hypercube order
-	gDim    int // mesh/torus dimension
-	gSide   int // mesh/torus side
-	gDeg    int // max degree = per-vertex edge-id stride
-	gStride [topology.MaxImplicitDim]int
+	// geom is the closed-form geometry of a pristine hypercube, mesh or
+	// torus in either representation (topology's Machine.Generator), nil
+	// otherwise. Without faults it supplies exact distances and the hop
+	// kernels pickHopHypercube/pickHopGrid, whose slot numbers are
+	// neighbour ranks: edge u->v is edgeBase[u]+rank on CSR, u*gDeg+rank
+	// on implicit machines.
+	geom  *topology.Implicit
+	gk    geomKind
+	gDim  int // mesh/torus dimension
+	gSide int // mesh/torus side
+	gDeg  int // max degree = per-vertex edge-id stride on implicit machines
+	// gOff[p] is the id offset of a grid neighbour at position p:
+	// side^d for a ±1 step in dimension d (p = 2d), and (side-1)·side^d
+	// for a torus wraparound step in it (p = 2d+1).
+	gOff []int
 
 	// caps[v] is v's forwarding capacity (-1 unlimited); nil when the
 	// machine has no capped vertex, so the hot path skips the lookup.
@@ -228,26 +227,8 @@ func (e *Engine) ReleaseSim(s *Sim) {
 func NewEngine(m *topology.Machine, strategy Strategy) *Engine {
 	e := &Engine{M: m, Strategy: strategy}
 	if im := m.Implicit; im != nil {
-		e.geom = im
 		e.numVerts = im.N()
-		e.gDeg = im.MaxDeg()
-		e.numEdges = e.numVerts * e.gDeg
-		if order, ok := im.Hypercube(); ok {
-			e.gk, e.gOrder = geomHypercube, order
-		} else {
-			dim, side, wrap, _ := im.Grid()
-			e.gDim, e.gSide = dim, side
-			e.gk = geomMesh
-			if wrap {
-				e.gk = geomTorus
-			}
-			stride := 1
-			for d := 0; d < dim; d++ {
-				e.gStride[d] = stride
-				stride *= side
-			}
-		}
-		e.oracle = im.Distance
+		e.numEdges = e.numVerts * im.MaxDeg()
 	} else {
 		g := m.Graph
 		e.numVerts = g.N()
@@ -268,7 +249,24 @@ func NewEngine(m *topology.Machine, strategy Strategy) *Engine {
 			}
 		}
 		e.distPtrs = make([]atomic.Pointer[[]int], g.N())
-		e.oracle = analyticDistance(m)
+	}
+	if im := m.Generator(); im != nil {
+		e.geom = im
+		e.gDeg = im.MaxDeg()
+		if _, ok := im.Hypercube(); ok {
+			e.gk = geomHypercube
+		} else {
+			dim, side, wrap, _ := im.Grid()
+			e.gDim, e.gSide = dim, side
+			e.gk = geomMesh
+			if wrap {
+				e.gk = geomTorus
+			}
+			e.gOff = make([]int, 2*dim)
+			for d, stride := 0, 1; d < dim; d, stride = d+1, stride*side {
+				e.gOff[2*d], e.gOff[2*d+1] = stride, (side-1)*stride
+			}
+		}
 	}
 	if m.VertexCap != nil || m.UniformCap > 0 {
 		e.caps = make([]int64, e.numVerts)
@@ -279,67 +277,9 @@ func NewEngine(m *topology.Machine, strategy Strategy) *Engine {
 	return e
 }
 
-// analyticDistance returns an exact closed-form distance function for
-// machines whose geometry determines their graph, or nil. The guards are
-// conservative: the vertex count, processor count, and total edge
-// multiplicity must all match the pristine construction, so degraded clones
-// (deleted wires or processors, cleared geometry) never get an oracle.
-func analyticDistance(m *topology.Machine) func(u, v int) int {
-	n := m.Graph.N()
-	if m.Procs != n {
-		return nil
-	}
-	switch m.Family {
-	case topology.WeakHypercubeFamily:
-		order := m.Side
-		if order < 1 || n != 1<<uint(order) || m.Graph.E() != int64(n)*int64(order)/2 {
-			return nil
-		}
-		return func(u, v int) int { return bits.OnesCount(uint(u ^ v)) }
-	case topology.MeshFamily, topology.TorusFamily:
-		dim, side := m.Dim, m.Side
-		if dim < 1 || side < 2 {
-			return nil
-		}
-		size := 1
-		for d := 0; d < dim; d++ {
-			size *= side
-		}
-		if size != n {
-			return nil
-		}
-		wrap := m.Family == topology.TorusFamily
-		wantE := int64(dim) * int64(n) // torus: one +1 edge per vertex per dim
-		if !wrap {
-			wantE = int64(dim) * int64(n/side) * int64(side-1)
-		}
-		if m.Graph.E() != wantE {
-			return nil
-		}
-		return func(u, v int) int {
-			d := 0
-			for k := 0; k < dim; k++ {
-				cu, cv := u%side, v%side
-				u /= side
-				v /= side
-				delta := cu - cv
-				if delta < 0 {
-					delta = -delta
-				}
-				if wrap && side-delta < delta {
-					delta = side - delta
-				}
-				d += delta
-			}
-			return d
-		}
-	}
-	return nil
-}
-
 // edgeEnds recovers the (from, to) vertices of a directed edge id.
 func (e *Engine) edgeEnds(id int32) (int, int) {
-	if e.geom != nil {
+	if e.edgeBase == nil {
 		u := int(id) / e.gDeg
 		return u, e.geom.Neighbor(u, int(id)%e.gDeg)
 	}
@@ -363,8 +303,8 @@ func (e *Engine) dist(dst int) []int {
 	if e.live != nil {
 		return e.liveDist(dst)
 	}
-	if e.geom != nil {
-		// Implicit machines route on the analytic oracle; a fault-free BFS
+	if e.edgeBase == nil {
+		// Implicit machines route on their closed forms; a fault-free BFS
 		// field would be an O(N) allocation bug, not a fallback.
 		panic("routing: BFS distance field requested on an implicit machine without faults")
 	}
@@ -376,12 +316,12 @@ func (e *Engine) dist(dst int) []int {
 	return d
 }
 
-// distance returns the current routing distance from u to dst: the analytic
-// oracle on pristine geometric machines, the (possibly fault-masked) BFS
-// field otherwise. Under faults, -1 means unreachable.
+// distance returns the current routing distance from u to dst: the
+// geometry's closed form on pristine geometric machines, the (possibly
+// fault-masked) BFS field otherwise. Under faults, -1 means unreachable.
 func (e *Engine) distance(u, dst int) int {
-	if e.oracle != nil && e.live == nil {
-		return e.oracle(u, dst)
+	if e.geom != nil && e.live == nil {
+		return e.geom.Distance(u, dst)
 	}
 	return e.dist(dst)[u]
 }
@@ -437,49 +377,32 @@ func (e *Engine) RouteSharded(batch []traffic.Message, rng *rand.Rand, shards in
 // edgeUsed is indexed by edge id; only edges out of u are read or written,
 // which is what makes concurrent shards safe.
 //
-// Every representation and fast path enumerates the candidates in the same
-// order — neighbours ascending by vertex id — and spends exactly one
-// reservoir draw per unsaturated downhill neighbour, so the decision
-// streams (and therefore all results) are identical across explicit,
-// implicit, serial, and sharded runs.
+// Every kernel enumerates the candidates in the same order — neighbours
+// ascending by vertex id — and spends exactly one reservoir draw per
+// unsaturated downhill neighbour, so the decision streams (and therefore
+// all results) are identical across explicit, implicit, serial, and
+// sharded runs, and between a closed-form kernel and the BFS-field loop.
 func (e *Engine) pickHop(u, dst int, edgeUsed []int32, vr *vrand) (int, int32) {
-	if e.geom != nil {
-		if e.live != nil {
-			return e.pickHopGeomLive(u, dst, edgeUsed, vr)
+	if e.geom != nil && e.live == nil {
+		base := int32(u * e.gDeg)
+		if e.edgeBase != nil {
+			base = e.edgeBase[u]
 		}
 		if e.gk == geomHypercube {
-			return e.pickHopHypercube(u, dst, edgeUsed, vr)
+			return e.pickHopHypercube(u, dst, base, edgeUsed, vr)
 		}
-		return e.pickHopGrid(u, dst, edgeUsed, vr)
+		return e.pickHopGrid(u, dst, base, edgeUsed, vr)
 	}
-	base := e.edgeBase[u]
-	end := e.edgeBase[u+1]
-	best := -1
-	var bestEdge int32 = -1
-	count := 0
-	if oracle := e.oracle; oracle != nil && e.live == nil {
-		du := oracle(u, dst) - 1
-		for id := base; id < end; id++ {
-			v := int(e.nbrV[id])
-			if oracle(v, dst) != du {
-				continue
-			}
-			if int64(edgeUsed[id]) >= e.nbrMult[id] {
-				continue
-			}
-			// Reservoir-sample uniformly among available downhill neighbours.
-			count++
-			if vr.intn(count) == 0 {
-				best = v
-				bestEdge = id
-			}
-		}
-		return best, bestEdge
+	if e.edgeBase == nil {
+		return e.pickHopGeomLive(u, dst, edgeUsed, vr)
 	}
 	d := e.dist(dst)
 	du := d[u] - 1
 	lv := e.live
-	for id := base; id < end; id++ {
+	best := -1
+	var bestEdge int32 = -1
+	count := 0
+	for id := e.edgeBase[u]; id < e.edgeBase[u+1]; id++ {
 		v := int(e.nbrV[id])
 		if d[v] != du {
 			continue
@@ -490,6 +413,7 @@ func (e *Engine) pickHop(u, dst int, edgeUsed []int32, vr *vrand) (int, int32) {
 		if int64(edgeUsed[id]) >= e.nbrMult[id] {
 			continue
 		}
+		// Reservoir-sample uniformly among available downhill neighbours.
 		count++
 		if vr.intn(count) == 0 {
 			best = v
@@ -499,13 +423,12 @@ func (e *Engine) pickHop(u, dst int, edgeUsed []int32, vr *vrand) (int, int32) {
 	return best, bestEdge
 }
 
-// pickHopHypercube is pickHop for the fault-free implicit hypercube: the
-// downhill neighbours are the flips of the bits where u and dst differ,
-// enumerated in ascending vertex-id order (set bits high-to-low, then clear
-// bits low-to-high), with edge ids computed from bit ranks — no adjacency
-// memory touched at all.
-func (e *Engine) pickHopHypercube(u, dst int, edgeUsed []int32, vr *vrand) (int, int32) {
-	base := int32(u * e.gDeg)
+// pickHopHypercube is pickHop for the fault-free hypercube: the downhill
+// neighbours are the flips of the bits where u and dst differ, enumerated
+// in ascending vertex-id order (set bits high-to-low, then clear bits
+// low-to-high), with edge ids base+rank computed from bit ranks — no
+// adjacency memory touched at all. base is u's first edge id.
+func (e *Engine) pickHopHypercube(u, dst int, base int32, edgeUsed []int32, vr *vrand) (int, int32) {
 	diff := uint(u ^ dst)
 	pu := bits.OnesCount(uint(u))
 	best := -1
@@ -542,113 +465,111 @@ func (e *Engine) pickHopHypercube(u, dst int, edgeUsed []int32, vr *vrand) (int,
 	return best, bestEdge
 }
 
-// pickHopGrid is pickHop for the fault-free implicit mesh and torus. The
-// mesh enumerates existing neighbours in closed ascending order
-// (minus-steps by descending dimension, then plus-steps by ascending
-// dimension); the torus, whose wraparound breaks that monotonicity,
-// gathers its 2·dim neighbours into a stack array and insertion-sorts.
-// Rank slots count every existing neighbour, downhill or not, matching the
-// generator's edge-id assignment.
-func (e *Engine) pickHopGrid(u, dst int, edgeUsed []int32, vr *vrand) (int, int32) {
-	dim, side := e.gDim, e.gSide
-	var cu, cv [topology.MaxImplicitDim]int
-	x, y := u, dst
-	for d := 0; d < dim; d++ {
-		cu[d] = x % side
-		x /= side
-		cv[d] = y % side
-		y /= side
+// pickHopGrid is pickHop for the fault-free mesh and torus. Each
+// neighbour of u lies gOff[p] below or above it for a position p, and the
+// offsets ascend with p, so the neighbours below u ascend by vertex id as
+// p descends and those above u as p ascends. One pass over u's and dst's
+// coordinates builds position masks of the neighbours below and above u
+// and of the downhill ones among them; as in pickHopHypercube, a
+// neighbour's rank slot (counting every neighbour, downhill or not) is a
+// popcount, and base+slot is the edge id in either representation. base
+// is u's first edge id. 2·dim ≤ 56 positions fit the masks.
+func (e *Engine) pickHopGrid(u, dst int, base int32, edgeUsed []int32, vr *vrand) (int, int32) {
+	side := uint(e.gSide)
+	var below, above, downBelow, downAbove uint64
+	x, y := uint(u), uint(dst)
+	if e.gk == geomMesh {
+		for d := 0; d < e.gDim; d++ {
+			cu, cv := x%side, y%side
+			x /= side
+			y /= side
+			step := uint64(1) << uint(2*d) // ±1 in dimension d
+			if cu > 0 {
+				below |= step
+				if cu > cv {
+					downBelow |= step
+				}
+			}
+			if cu < side-1 {
+				above |= step
+				if cu < cv {
+					downAbove |= step
+				}
+			}
+		}
+	} else {
+		n := int(side)
+		for d := 0; d < e.gDim; d++ {
+			cu, cv := int(x%side), int(y%side)
+			x /= side
+			y /= side
+			step := uint64(1) << uint(2*d) // ±1 in dimension d
+			wrap := step << 1              // wraparound in dimension d
+			// Both directions can be downhill in one dimension (even
+			// side, antipodal coordinate).
+			dd := wrapDelta(cu-cv, n) - 1
+			minusDown := wrapDelta(cu-1-cv, n) == dd
+			plusDown := wrapDelta(cu+1-cv, n) == dd
+			if cu > 0 {
+				below |= step
+				if minusDown {
+					downBelow |= step
+				}
+			} else {
+				above |= wrap
+				if minusDown {
+					downAbove |= wrap
+				}
+			}
+			if cu < n-1 {
+				above |= step
+				if plusDown {
+					downAbove |= step
+				}
+			} else {
+				below |= wrap
+				if plusDown {
+					downBelow |= wrap
+				}
+			}
+		}
 	}
-	base := int32(u * e.gDeg)
 	best := -1
 	var bestEdge int32 = -1
 	count := 0
-	if e.gk == geomMesh {
-		slot := int32(0)
-		for d := dim - 1; d >= 0; d-- {
-			if cu[d] == 0 {
-				continue
+	// Downhill neighbours below u, positions high to low: ascending ids.
+	for m := downBelow; m != 0; {
+		p := bits.Len64(m) - 1
+		m &^= 1 << p
+		id := base + int32(bits.OnesCount64(below>>(p+1)))
+		if edgeUsed[id] < 1 {
+			count++
+			if vr.intn(count) == 0 {
+				best = u - e.gOff[p]
+				bestEdge = id
 			}
-			if cu[d] > cv[d] {
-				id := base + slot
-				if edgeUsed[id] < 1 {
-					count++
-					if vr.intn(count) == 0 {
-						best = u - e.gStride[d]
-						bestEdge = id
-					}
-				}
+		}
+	}
+	// Downhill neighbours above u, positions low to high: ascending ids.
+	nBelow := bits.OnesCount64(below)
+	for m := downAbove; m != 0; {
+		p := bits.TrailingZeros64(m)
+		m &^= 1 << p
+		id := base + int32(nBelow+bits.OnesCount64(above&(1<<p-1)))
+		if edgeUsed[id] < 1 {
+			count++
+			if vr.intn(count) == 0 {
+				best = u + e.gOff[p]
+				bestEdge = id
 			}
-			slot++
-		}
-		for d := 0; d < dim; d++ {
-			if cu[d] == side-1 {
-				continue
-			}
-			if cu[d] < cv[d] {
-				id := base + slot
-				if edgeUsed[id] < 1 {
-					count++
-					if vr.intn(count) == 0 {
-						best = u + e.gStride[d]
-						bestEdge = id
-					}
-				}
-			}
-			slot++
-		}
-		return best, bestEdge
-	}
-	// Torus: both directions can be downhill in one dimension (even side,
-	// antipodal coordinate), so each candidate carries its own flag.
-	type cand struct {
-		v    int32
-		down bool
-	}
-	var cands [2 * topology.MaxImplicitDim]cand
-	k := 0
-	for d := 0; d < dim; d++ {
-		dd := wrapDelta(cu[d]-cv[d], side)
-		nc, v := cu[d]-1, u-e.gStride[d]
-		if cu[d] == 0 {
-			nc, v = side-1, u+(side-1)*e.gStride[d]
-		}
-		cands[k] = cand{int32(v), wrapDelta(nc-cv[d], side) == dd-1}
-		k++
-		nc, v = cu[d]+1, u+e.gStride[d]
-		if cu[d] == side-1 {
-			nc, v = 0, u-(side-1)*e.gStride[d]
-		}
-		cands[k] = cand{int32(v), wrapDelta(nc-cv[d], side) == dd-1}
-		k++
-	}
-	for i := 1; i < k; i++ {
-		c := cands[i]
-		j := i - 1
-		for j >= 0 && cands[j].v > c.v {
-			cands[j+1] = cands[j]
-			j--
-		}
-		cands[j+1] = c
-	}
-	for slot := 0; slot < k; slot++ {
-		if !cands[slot].down {
-			continue
-		}
-		id := base + int32(slot)
-		if edgeUsed[id] >= 1 {
-			continue
-		}
-		count++
-		if vr.intn(count) == 0 {
-			best = int(cands[slot].v)
-			bestEdge = id
 		}
 	}
 	return best, bestEdge
 }
 
-// wrapDelta is the per-dimension torus distance of a coordinate difference.
+// wrapDelta is the per-dimension torus distance of a coordinate difference
+// with |delta| <= side, so an unwrapped neighbour coordinate (-1 or side)
+// gives the same distance as its wrapped one.
 func wrapDelta(delta, side int) int {
 	if delta < 0 {
 		delta = -delta
@@ -659,9 +580,10 @@ func wrapDelta(delta, side int) int {
 	return delta
 }
 
-// pickHopGeomLive is pickHop for implicit machines under faults: the masked
-// BFS field replaces the oracle and dead wires are skipped, with neighbours
-// enumerated through the generator in the canonical ascending order.
+// pickHopGeomLive is pickHop for implicit machines under faults: the
+// masked BFS field replaces the closed forms and dead wires are skipped,
+// with neighbours enumerated through the generator in the canonical
+// ascending order.
 func (e *Engine) pickHopGeomLive(u, dst int, edgeUsed []int32, vr *vrand) (int, int32) {
 	d := e.dist(dst)
 	du := d[u] - 1

@@ -43,8 +43,9 @@ type liveState struct {
 // EnableFaults switches the engine into liveness-aware routing. An engine
 // with faults enabled belongs to the Sim driving it: the fault mask is
 // engine state, so do not share it across concurrent or interleaved sims.
-// Works on both representations; an implicit machine under faults swaps
-// its analytic oracle for masked BFS fields over the generated adjacency.
+// Works on both representations; a machine with a closed-form geometry
+// swaps its closed-form hop kernel for masked BFS fields, walked over the
+// generated adjacency on implicit machines and over CSR on explicit ones.
 func (e *Engine) EnableFaults() {
 	if e.live == nil {
 		e.live = &liveState{
@@ -73,7 +74,7 @@ func (e *Engine) DownCounts() (edges, nodes int) {
 
 // dirEdgeID returns the dense id of directed edge u->v, or -1 if absent.
 func (e *Engine) dirEdgeID(u, v int) int32 {
-	if e.geom != nil {
+	if e.edgeBase == nil {
 		found := int32(-1)
 		base := int32(u * e.gDeg)
 		e.geom.VisitNeighbors(u, func(slot, nb int) {
@@ -156,7 +157,7 @@ func (e *Engine) liveDist(dst int) []int {
 		queue := make([]int, 0, n)
 		d[dst] = 0
 		queue = append(queue, dst)
-		if e.geom != nil {
+		if e.edgeBase == nil {
 			var u int
 			visit := func(slot, v int) {
 				if d[v] >= 0 || lv.edgeDown[int32(u*e.gDeg+slot)] || lv.nodeDown[v] {
@@ -265,24 +266,22 @@ func (s *Sim) applyFaultEvents() {
 // reapDeadPackets drops every packet queued at a dead processor and every
 // packet whose final destination died; Valiant packets that lost only
 // their intermediate are retargeted at their destination instead. Queues
-// are filtered in place with the same chunk-cursor compaction move uses.
-// Emptied vertices stay on the active list until the next move phase
-// drains them (move tolerates n == 0 entries).
+// are filtered in place with the same chunk-cursor compaction move uses,
+// and a vertex whose queue empties leaves its shard's active set here, so
+// move only ever visits non-empty queues.
 func (s *Sim) reapDeadPackets() {
 	lv := s.eng.live
 	for _, sh := range s.shards {
-		for _, u := range sh.active {
+		sh.forActive(func(u int) {
 			q := &s.vq[u]
 			qn := int(q.n)
-			if qn == 0 {
-				continue
-			}
 			if lv.nodeDown[u] {
 				// A dead processor loses its queue wholesale.
 				s.dropped += qn
 				s.droppedTick += qn
 				sh.qfree(q)
-				continue
+				sh.clearActive(u)
+				return
 			}
 			rci, wci := q.head, q.head
 			rC, wC := sh.chunk(rci), sh.chunk(rci)
@@ -319,13 +318,14 @@ func (s *Sim) reapDeadPackets() {
 			q.n = int32(kept)
 			if kept == 0 {
 				sh.qfree(q)
+				sh.clearActive(u)
 			} else {
 				fc := wC.next
 				wC.next = -1
 				q.tail = wci
 				sh.freeChain(fc)
 			}
-		}
+		})
 	}
 }
 

@@ -1,8 +1,8 @@
 package routing
 
 import (
+	"math/bits"
 	"runtime"
-	"slices"
 	"sync/atomic"
 )
 
@@ -23,8 +23,8 @@ import (
 // driver joins all shards only at the end of the tick (to fold counters
 // and let the next tick's injections land safely).
 //
-// Safety rests on ownership plus the epoch protocol: vq[u], inActive[u],
-// the chunk arena, and the edge slots of edges *out of* u (edgeUsed,
+// Safety rests on ownership plus the epoch protocol: vq[u], u's active
+// bit, the chunk arena, and the edge slots of edges *out of* u (edgeUsed,
 // stats.edgeTotals) are touched only by u's owning shard; a mailbox
 // shards[j].outbox[i] is written only during j's move and read only
 // during i's arrive, which the atomic epoch store/load pair orders. A
@@ -80,13 +80,16 @@ type simShard struct {
 	id    int
 	owned int // number of vertices assigned to this shard
 
-	active    []int // owned vertices with queued packets; prefix [:sortedLen] sorted
-	sortedLen int   // length of the sorted prefix of active
+	// Active set: bit i of activeBits is set exactly while vertex
+	// activeLo+i has queued packets. The bits span the shard's lowest to
+	// highest owned id (nil for a shard that owns nothing), so walking them
+	// in order visits the active vertices in ascending id order.
+	activeLo   int
+	activeBits []uint64
 
 	touched  []int32     // edge-usage slots dirtied this tick
 	sortKeys []int       // FarthestFirst scratch
 	sortBuf  []simPacket // FarthestFirst gather scratch
-	mergeBuf []int       // active-list merge scratch
 
 	// Chunk arena for the owned vertices' queues.
 	pages    [][]qChunk
@@ -117,11 +120,25 @@ type simShard struct {
 	tickLatency   int64
 }
 
-func newSimShard(id, owned int) *simShard {
-	return &simShard{
-		id:       id,
-		owned:    owned,
-		freeHead: -1,
+// setActive adds owned vertex u to the active set.
+func (sh *simShard) setActive(u int) {
+	i := u - sh.activeLo
+	sh.activeBits[i>>6] |= 1 << (i & 63)
+}
+
+// clearActive removes owned vertex u from the active set.
+func (sh *simShard) clearActive(u int) {
+	i := u - sh.activeLo
+	sh.activeBits[i>>6] &^= 1 << (i & 63)
+}
+
+// forActive calls fn for every active vertex in ascending id order. fn may
+// clear the bit of the vertex it is given.
+func (sh *simShard) forActive(fn func(u int)) {
+	for w, word := range sh.activeBits {
+		for ; word != 0; word &= word - 1 {
+			fn(sh.activeLo + w<<6 + bits.TrailingZeros64(word))
+		}
 	}
 }
 
@@ -183,37 +200,6 @@ func (sh *simShard) qfree(q *vqueue) {
 	q.head, q.tail, q.n = -1, -1, 0
 }
 
-// mergeActive restores the active list's sorted order: vertices activated
-// since the last move sit in an unsorted suffix, which is sorted and
-// back-merged with the sorted prefix — O(new + shifted) instead of
-// re-sorting the whole list every tick.
-func (sh *simShard) mergeActive() {
-	a := sh.active
-	if sh.sortedLen == len(a) {
-		return
-	}
-	suffix := a[sh.sortedLen:]
-	slices.Sort(suffix)
-	if sh.sortedLen == 0 || a[sh.sortedLen-1] < suffix[0] {
-		sh.sortedLen = len(a)
-		return
-	}
-	buf := append(sh.mergeBuf[:0], suffix...)
-	i, j, k := sh.sortedLen-1, len(buf)-1, len(a)-1
-	for j >= 0 {
-		if i >= 0 && a[i] > buf[j] {
-			a[k] = a[i]
-			i--
-		} else {
-			a[k] = buf[j]
-			j--
-		}
-		k--
-	}
-	sh.mergeBuf = buf
-	sh.sortedLen = len(a)
-}
-
 // move serves every active owned vertex in ascending id order: clears the
 // previous tick's edge usage, applies the service discipline and per-wire
 // capacity, counts packets that reached their final destination as
@@ -228,136 +214,126 @@ func (sh *simShard) move(s *Sim) {
 	for _, j := range sh.outNbrs {
 		sh.outbox[j] = sh.outbox[j][:0]
 	}
-	// Canonical service order: ascending vertex id. Fairness across ticks
-	// comes from the positional randomness of the hop choices, not from
-	// shuffling the service order.
-	sh.mergeActive()
 	eng := s.eng
 	fs := s.faults
 	stats := s.stats
 	caps := eng.caps
 	farthest := eng.Discipline == FarthestFirst
 	now := s.now
-	for _, u := range sh.active {
-		q := &s.vq[u]
-		qn := int(q.n)
-		if qn == 0 {
-			continue // reaped this tick; drained from active below
-		}
-		if qn > sh.maxQueue {
-			sh.maxQueue = qn
-		}
-		vr := s.vertexRand(u)
-		if farthest && qn > 1 {
-			sh.sortFarthestFirst(s, u, q)
-		}
-		var capLeft int64 = -1
-		if caps != nil {
-			capLeft = caps[u]
-		}
-		rci, wci := q.head, q.head
-		rC, wC := sh.chunk(rci), sh.chunk(rci)
-		ri, wi := 0, 0
-		kept := 0
-		for i := 0; i < qn; i++ {
-			if ri == qChunkCap {
-				rci = rC.next
-				rC = sh.chunk(rci)
-				ri = 0
+	// Canonical service order: ascending vertex id, the active set's bit
+	// order. Fairness across ticks comes from the positional randomness of
+	// the hop choices, not from shuffling the service order. The walk
+	// reads each word once, so clearing a drained vertex's bit is safe.
+	for w, word := range sh.activeBits {
+		for ; word != 0; word &= word - 1 {
+			u := sh.activeLo + w<<6 + bits.TrailingZeros64(word)
+			q := &s.vq[u]
+			qn := int(q.n)
+			if qn > sh.maxQueue {
+				sh.maxQueue = qn
 			}
-			p := rC.p[ri]
-			ri++
-			if capLeft != 0 {
-				keep := false
-				if fs != nil {
-					if int(p.sleepUntil) > now {
-						keep = true // backing off
-					} else if now-int(p.born) > fs.opts.TTL {
-						sh.tickDropped++
-						continue
-					}
+			vr := s.vertexRand(u)
+			if farthest && qn > 1 {
+				sh.sortFarthestFirst(s, u, q)
+			}
+			var capLeft int64 = -1
+			if caps != nil {
+				capLeft = caps[u]
+			}
+			rci, wci := q.head, q.head
+			rC, wC := sh.chunk(rci), sh.chunk(rci)
+			ri, wi := 0, 0
+			kept := 0
+			for i := 0; i < qn; i++ {
+				if ri == qChunkCap {
+					rci = rC.next
+					rC = sh.chunk(rci)
+					ri = 0
 				}
-				if !keep {
-					h, edge := eng.pickHop(int(p.at), int(p.dst), s.edgeUsed, &vr)
-					if h >= 0 {
-						if s.edgeUsed[edge] == 0 {
-							sh.touched = append(sh.touched, edge)
-						}
-						s.edgeUsed[edge]++
-						if stats != nil {
-							stats.edgeTotals[edge]++
-						}
-						if capLeft > 0 {
-							capLeft--
-						}
-						p.at = int32(h)
-						sh.tickHops++
-						if p.dst == p.at && !p.phase1 {
-							// Delivered: counted here at the sender shard —
-							// the counters and histogram buckets it feeds
-							// are order-independent, so this matches the
-							// serial accounting exactly.
-							sh.tickDelivered++
-							lat := now - int(p.born)
-							sh.tickLatency += int64(lat)
-							sh.latHist.Record(lat)
+				p := rC.p[ri]
+				ri++
+				if capLeft != 0 {
+					keep := false
+					if fs != nil {
+						if int(p.sleepUntil) > now {
+							keep = true // backing off
+						} else if now-int(p.born) > fs.opts.TTL {
+							sh.tickDropped++
 							continue
 						}
-						dst := s.shardOf[h]
-						sh.outbox[dst] = append(sh.outbox[dst], arrival{sender: int32(u), p: p})
-						continue
 					}
-					if fs != nil && eng.distance(u, int(p.dst)) < 0 {
-						// Stranded: no live path to the current target.
-						if p.phase1 {
-							// The Valiant intermediate became unreachable;
-							// try the final destination directly.
-							p.phase1 = false
-							p.dst = p.finalDst
-						} else {
-							p.retries++
-							sh.tickRetried++
-							if int(p.retries) > fs.opts.RetryBudget {
-								sh.tickDropped++
+					if !keep {
+						h, edge := eng.pickHop(int(p.at), int(p.dst), s.edgeUsed, &vr)
+						if h >= 0 {
+							if s.edgeUsed[edge] == 0 {
+								sh.touched = append(sh.touched, edge)
+							}
+							s.edgeUsed[edge]++
+							if stats != nil {
+								stats.edgeTotals[edge]++
+							}
+							if capLeft > 0 {
+								capLeft--
+							}
+							p.at = int32(h)
+							sh.tickHops++
+							if p.dst == p.at && !p.phase1 {
+								// Delivered: counted here at the sender shard —
+								// the counters and histogram buckets it feeds
+								// are order-independent, so this matches the
+								// serial accounting exactly.
+								sh.tickDelivered++
+								lat := now - int(p.born)
+								sh.tickLatency += int64(lat)
+								sh.latHist.Record(lat)
 								continue
 							}
-							p.sleepUntil = int32(now + backoffTicks(fs.opts.BackoffBase, p.retries))
+							dst := s.shardOf[h]
+							sh.outbox[dst] = append(sh.outbox[dst], arrival{sender: int32(u), p: p})
+							continue
 						}
+						if fs != nil && eng.distance(u, int(p.dst)) < 0 {
+							// Stranded: no live path to the current target.
+							if p.phase1 {
+								// The Valiant intermediate became unreachable;
+								// try the final destination directly.
+								p.phase1 = false
+								p.dst = p.finalDst
+							} else {
+								p.retries++
+								sh.tickRetried++
+								if int(p.retries) > fs.opts.RetryBudget {
+									sh.tickDropped++
+									continue
+								}
+								p.sleepUntil = int32(now + backoffTicks(fs.opts.BackoffBase, p.retries))
+							}
+						}
+						// Otherwise: all downhill wires saturated; wait in place.
 					}
-					// Otherwise: all downhill wires saturated; wait in place.
 				}
+				// Keep p: compact it to the write cursor.
+				if wi == qChunkCap {
+					wci = wC.next
+					wC = sh.chunk(wci)
+					wi = 0
+				}
+				wC.p[wi] = p
+				wi++
+				kept++
 			}
-			// Keep p: compact it to the write cursor.
-			if wi == qChunkCap {
-				wci = wC.next
-				wC = sh.chunk(wci)
-				wi = 0
+			q.n = int32(kept)
+			if kept == 0 {
+				sh.qfree(q)
+				sh.clearActive(u)
+			} else {
+				fc := wC.next
+				wC.next = -1
+				q.tail = wci
+				sh.freeChain(fc)
 			}
-			wC.p[wi] = p
-			wi++
-			kept++
-		}
-		q.n = int32(kept)
-		if kept == 0 {
-			sh.qfree(q)
-		} else if fc := wC.next; true {
-			wC.next = -1
-			q.tail = wci
-			sh.freeChain(fc)
 		}
 	}
-	// Drop drained vertices from the active list; the survivors keep their
-	// sorted order.
-	na := sh.active[:0]
-	for _, u := range sh.active {
-		if s.vq[u].n > 0 {
-			na = append(na, u)
-		} else {
-			s.inActive[u] = false
-		}
-	}
-	sh.active = na
-	sh.sortedLen = len(na)
 }
 
 // arrive merges this shard's inbound mailboxes by ascending sender id and
@@ -422,10 +398,12 @@ func (sh *simShard) handleArrival(s *Sim, p simPacket) {
 // sampleQueues records one queue-occupancy sample per owned vertex: the
 // queue length for active vertices, zero for the rest.
 func (sh *simShard) sampleQueues(s *Sim) {
-	for _, u := range sh.active {
+	active := 0
+	sh.forActive(func(u int) {
 		sh.queueOcc.Record(int(s.vq[u].n))
-	}
-	for i := len(sh.active); i < sh.owned; i++ {
+		active++
+	})
+	for i := active; i < sh.owned; i++ {
 		sh.queueOcc.Record(0)
 	}
 }

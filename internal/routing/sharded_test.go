@@ -46,10 +46,14 @@ func shardedRun(t *testing.T, m *topology.Machine, shards int, faults bool) (Ope
 // {2, 4, 7}, every available representation (explicit CSR, and the
 // implicit generator for hypercube/mesh/torus machines), with and without
 // a fault schedule, must reproduce its OpenLoopResult and snapshot JSON
-// byte-for-byte. The implicit twin is a genuinely independent adjacency
-// implementation (bit-trick and coordinate fast paths instead of CSR
-// loops), so agreement here is the representation contract, not a
-// tautology.
+// byte-for-byte. Without faults, both representations of a pristine
+// hypercube, mesh or torus run the same closed-form hop kernel and differ
+// only in how a vertex's first edge id is found, so that comparison checks
+// the edge numbering, not an independent implementation; the kernel itself
+// is checked against the BFS-field CSR loop by
+// TestClosedFormKernelMatchesBFS. Under faults the twins walk masked BFS
+// fields over independent adjacencies (generator versus CSR), so there the
+// agreement is the representation contract, not a tautology.
 func TestShardedEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for _, m := range table4Machines(rng) {
@@ -170,6 +174,16 @@ func TestShardedEquivalenceBFSPartition(t *testing.T) {
 					t.Errorf("BFS partition k=%d diverged from serial", k)
 				}
 			}
+			// Interleaved shards 0 and 2 with shard 1 empty: each non-empty
+			// shard's owned ids span the whole machine.
+			assign := make([]int, m.N())
+			for v := range assign {
+				assign[v] = 2 * (v % 2)
+			}
+			got := drive(NewEngine(m, Greedy).NewPartitionedSim(rand.New(rand.NewSource(5)), assign), m)
+			if !bytes.Equal(got, want) {
+				t.Errorf("interleaved partition with an empty shard diverged from serial")
+			}
 		})
 	}
 }
@@ -198,6 +212,92 @@ func TestShardedStepSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// kernelRun drives one instrumented open loop and one routed batch on a
+// fresh engine for m and returns the open-loop result, its snapshot JSON
+// and the batch stats. With bfs set, the engine's closed-form geometry is
+// cleared first, so every hop goes through the BFS-field CSR loop.
+func kernelRun(t *testing.T, m *topology.Machine, strategy Strategy, disc Discipline, shards int, bfs bool) (OpenLoopResult, []byte, Stats) {
+	t.Helper()
+	e := NewEngine(m, strategy)
+	e.Discipline = disc
+	if e.geom == nil {
+		t.Fatalf("%s: no closed-form geometry", m.Name)
+	}
+	if bfs {
+		e.geom = nil
+	}
+	dist := traffic.NewSymmetric(m.N())
+	rng := rand.New(rand.NewSource(17))
+	res, snap := e.OpenLoopSnapshotSharded(dist, 6, 80, rng, 8, shards)
+	var buf bytes.Buffer
+	if err := snap.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	st := e.RouteSharded(traffic.Batch(dist, 4*m.N(), rng), rng, shards)
+	return res, buf.Bytes(), st
+}
+
+// The closed-form hop kernels must make exactly the decisions of the
+// BFS-field CSR loop they replace on explicit machines: same candidates in
+// the same order, one reservoir draw per free downhill wire, same edge ids.
+func TestClosedFormKernelMatchesBFS(t *testing.T) {
+	machines := []*topology.Machine{
+		topology.Mesh(2, 5),
+		topology.Mesh(3, 3),
+		topology.Torus(2, 4),
+		topology.Torus(3, 3),
+		topology.WeakHypercube(4),
+		topology.StrongHypercube(5),
+		topology.Mesh(9, 2), // above MaxImplicitDim: explicit only
+	}
+	for _, m := range machines {
+		for _, strategy := range []Strategy{Greedy, Valiant} {
+			for _, disc := range []Discipline{FIFO, FarthestFirst} {
+				for _, shards := range []int{1, 3} {
+					wantRes, wantSnap, wantSt := kernelRun(t, m, strategy, disc, shards, true)
+					gotRes, gotSnap, gotSt := kernelRun(t, m, strategy, disc, shards, false)
+					if gotRes != wantRes || !bytes.Equal(gotSnap, wantSnap) || gotSt != wantSt {
+						t.Errorf("%s %v %v shards=%d: kernel diverged from the BFS-field loop (snapshots equal: %v)\nBFS:    %+v %+v\nkernel: %+v %+v",
+							m.Name, strategy, disc, shards, bytes.Equal(gotSnap, wantSnap), wantRes, wantSt, gotRes, gotSt)
+					}
+				}
+			}
+		}
+	}
+}
+
+// Grids above topology.MaxImplicitDim dimensions have no implicit twin,
+// but their explicit engines still route on the closed forms: no BFS
+// field is built (one per destination would cost N ints each), and the
+// decisions match the BFS-field loop on a batch small enough for it.
+func TestHighDimGridsStayClosedForm(t *testing.T) {
+	for _, m := range []*topology.Machine{topology.Mesh(9, 2), topology.Torus(9, 3)} {
+		dist := traffic.NewSymmetric(m.N())
+		run := func(bfs bool) Stats {
+			e := NewEngine(m, Greedy)
+			if e.geom == nil {
+				t.Fatalf("%s: no closed-form geometry", m.Name)
+			}
+			if bfs {
+				e.geom = nil
+			}
+			rng := rand.New(rand.NewSource(23))
+			st := e.RouteSharded(traffic.Batch(dist, 48, rng), rng, 2)
+			if !bfs {
+				for dst := range e.distPtrs {
+					if e.distPtrs[dst].Load() != nil {
+						t.Fatalf("%s: BFS field built for destination %d", m.Name, dst)
+					}
+				}
+			}
+			return st
+		}
+		if got, want := run(false), run(true); got != want {
+			t.Errorf("%s: kernel diverged from the BFS-field loop\nBFS:    %+v\nkernel: %+v", m.Name, want, got)
+		}
+	}
+}
+
 // The analytic distance oracle must agree with BFS exactly on every
 // machine it is installed for, and must never be installed on a machine
 // whose graph no longer matches its geometry.
@@ -209,10 +309,11 @@ func TestAnalyticDistanceMatchesBFS(t *testing.T) {
 		topology.Mesh(3, 3),
 		topology.Torus(2, 5),
 		topology.Torus(3, 3),
+		topology.Mesh(9, 2),
 	}
 	for _, m := range oracleMachines {
 		e := NewEngine(m, Greedy)
-		if e.oracle == nil {
+		if e.geom == nil {
 			t.Errorf("%s: no analytic distance oracle installed", m.Name)
 			continue
 		}
@@ -220,7 +321,7 @@ func TestAnalyticDistanceMatchesBFS(t *testing.T) {
 		for dst := 0; dst < n; dst++ {
 			d := m.Graph.BFS(dst)
 			for u := 0; u < n; u++ {
-				if got := e.oracle(u, dst); got != d[u] {
+				if got := e.distance(u, dst); got != d[u] {
 					t.Fatalf("%s: oracle(%d,%d) = %d, BFS says %d", m.Name, u, dst, got, d[u])
 				}
 			}
@@ -230,12 +331,12 @@ func TestAnalyticDistanceMatchesBFS(t *testing.T) {
 	// edge counts against the pristine construction.
 	rng := rand.New(rand.NewSource(2))
 	degraded := topology.DeleteRandomEdges(topology.Mesh(2, 5), 0.2, rng)
-	if e := NewEngine(degraded, Greedy); e.oracle != nil {
+	if e := NewEngine(degraded, Greedy); e.geom != nil {
 		t.Errorf("%s: degraded machine received an analytic oracle", degraded.Name)
 	}
 	// Machines with hub vertices or non-processor vertices must not match.
 	for _, m := range []*topology.Machine{topology.GlobalBus(8), topology.MeshOfTrees(2, 4)} {
-		if e := NewEngine(m, Greedy); e.oracle != nil {
+		if e := NewEngine(m, Greedy); e.geom != nil {
 			t.Errorf("%s: unexpected analytic oracle", m.Name)
 		}
 	}

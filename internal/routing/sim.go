@@ -46,7 +46,6 @@ type Sim struct {
 	epochs []shardEpoch
 
 	vq       []vqueue // per-vertex queue state; touched only by the owning shard
-	inActive []bool   // per vertex; touched only by the owning shard
 	edgeUsed []int32  // per directed edge id, usage this tick (owner-shard writes)
 
 	now int // current tick
@@ -153,7 +152,6 @@ func (e *Engine) newSim(rng *rand.Rand, shards int, assign []int) *Sim {
 		rng:         rng,
 		planState:   uint64(measure.NewSeedPlan(rng.Int63()).Seed()),
 		vq:          make([]vqueue, n),
-		inActive:    make([]bool, n),
 		edgeUsed:    make([]int32, e.numEdges),
 		shardOf:     make([]int32, n),
 		epochs:      make([]shardEpoch, shards),
@@ -162,14 +160,23 @@ func (e *Engine) newSim(rng *rand.Rand, shards int, assign []int) *Sim {
 	for i := range s.vq {
 		s.vq[i].head, s.vq[i].tail = -1, -1
 	}
-	owned := make([]int, shards)
-	for v, sh := range assign {
-		s.shardOf[v] = int32(sh)
-		owned[sh]++
-	}
 	s.shards = make([]*simShard, shards)
 	for i := range s.shards {
-		s.shards[i] = newSimShard(i, owned[i])
+		s.shards[i] = &simShard{id: i, freeHead: -1, activeLo: n}
+	}
+	// Each shard's active bitset spans its lowest to highest owned id.
+	hi := make([]int, shards)
+	for v, k := range assign {
+		s.shardOf[v] = int32(k)
+		sh := s.shards[k]
+		sh.owned++
+		sh.activeLo = min(sh.activeLo, v)
+		hi[k] = v
+	}
+	for k, sh := range s.shards {
+		if sh.owned > 0 {
+			sh.activeBits = make([]uint64, (hi[k]-sh.activeLo)/64+1)
+		}
 	}
 	s.wireShardTopology()
 	if shards > 1 {
@@ -199,7 +206,7 @@ func (s *Sim) wireShardTopology() {
 	for i := 0; i < k; i++ {
 		adj[i*k+i] = true
 	}
-	if e.geom != nil {
+	if e.edgeBase == nil {
 		var su int
 		visit := func(slot, v int) {
 			adj[su*k+int(s.shardOf[v])] = true
@@ -262,17 +269,11 @@ func (s *Sim) Reset(rng *rand.Rand) {
 			s.edgeUsed[id] = 0
 		}
 		sh.touched = sh.touched[:0]
-		// Every vertex with a non-empty queue is on its shard's active
-		// list (push activates, move prunes), so draining the active lists
-		// returns every live chunk chain to the arena.
-		for _, u := range sh.active {
-			if s.vq[u].n > 0 {
-				sh.qfree(&s.vq[u])
-			}
-			s.inActive[u] = false
-		}
-		sh.active = sh.active[:0]
-		sh.sortedLen = 0
+		// A vertex is in its shard's active set exactly while its queue is
+		// non-empty, so draining the active sets returns every live chunk
+		// chain to the arena.
+		sh.forActive(func(u int) { sh.qfree(&s.vq[u]) })
+		clear(sh.activeBits)
 		for j := range sh.outbox {
 			sh.outbox[j] = sh.outbox[j][:0]
 		}
@@ -387,12 +388,8 @@ func (s *Sim) queueLen(u int) int { return int(s.vq[u].n) }
 func (s *Sim) push(p simPacket) {
 	u := int(p.at)
 	sh := s.shards[s.shardOf[u]]
-	q := &s.vq[u]
-	if q.n == 0 && !s.inActive[u] {
-		s.inActive[u] = true
-		sh.active = append(sh.active, u)
-	}
-	sh.qpush(q, p)
+	sh.setActive(u)
+	sh.qpush(&s.vq[u], p)
 }
 
 func (s *Sim) injectOne(m traffic.Message) {

@@ -30,10 +30,15 @@ const (
 	implTorus
 )
 
-// MaxImplicitDim bounds the dimension of implicit meshes and tori; the
-// per-vertex coordinate scratch in the routing hot path is a fixed-size
-// array of this length.
+// MaxImplicitDim bounds the dimension of implicit meshes and tori
+// (machines without an edge list); their neighbour scratch arrays have
+// room for 2·MaxImplicitDim entries.
 const MaxImplicitDim = 8
+
+// maxGridDim is the largest mesh or torus dimension a constructor admits:
+// checkMeshParams caps a machine at 2^28 vertices, so side 2 allows 28.
+// Generator covers explicit grids up to it.
+const maxGridDim = 28
 
 // Implicit generates the adjacency of one geometric machine on demand.
 type Implicit struct {
@@ -43,7 +48,7 @@ type Implicit struct {
 	dim    int // mesh/torus
 	side   int // mesh/torus
 	maxDeg int
-	stride [MaxImplicitDim]int // side^d, mesh/torus
+	stride [maxGridDim]int // side^d, mesh/torus
 }
 
 // N returns the vertex count.
@@ -278,10 +283,9 @@ func ImplicitWeakHypercube(order int) *Machine {
 	if int64(n)*int64(order) > maxEdgeIDSpace {
 		panic(fmt.Sprintf("topology: ImplicitWeakHypercube order %d exceeds the edge-id space", order))
 	}
-	im := &Implicit{kind: implHypercube, n: n, order: order, maxDeg: order}
 	m := &Machine{
 		Family: WeakHypercubeFamily, Name: fmt.Sprintf("WeakHypercube[%d]", n),
-		Implicit: im, Procs: n, Side: order, UniformCap: 1,
+		Implicit: hypercubeGen(order), Procs: n, Side: order, UniformCap: 1,
 	}
 	return m.validate()
 }
@@ -310,15 +314,69 @@ func implicitGrid(kind implicitKind, label string, fam Family, dim, side, minSid
 	if int64(n)*int64(2*dim) > maxEdgeIDSpace {
 		panic(fmt.Sprintf("topology: Implicit%s %d^%d exceeds the edge-id space", label, side, dim))
 	}
-	im := &Implicit{kind: kind, n: n, dim: dim, side: side, maxDeg: 2 * dim}
+	m := &Machine{
+		Family: fam, Name: fmt.Sprintf("%s%d[%d]", label, dim, n),
+		Implicit: gridGen(kind, dim, side), Procs: n, Dim: dim, Side: side,
+	}
+	return m.validate()
+}
+
+func hypercubeGen(order int) *Implicit {
+	return &Implicit{kind: implHypercube, n: 1 << order, order: order, maxDeg: order}
+}
+
+func gridGen(kind implicitKind, dim, side int) *Implicit {
+	im := &Implicit{kind: kind, n: pow(side, dim), dim: dim, side: side, maxDeg: 2 * dim}
 	for d := 0; d < dim; d++ {
 		im.stride[d] = pow(side, d)
 	}
-	m := &Machine{
-		Family: fam, Name: fmt.Sprintf("%s%d[%d]", label, dim, n),
-		Implicit: im, Procs: n, Dim: dim, Side: side,
+	return im
+}
+
+// Generator returns the closed-form generator that describes m exactly —
+// same vertex numbering, neighbour order and distances: m.Implicit for an
+// implicit machine; for an explicit one, the generator of the pristine
+// hypercube, mesh or torus it is, or nil. Capacities are not compared (the
+// strong hypercube shares the weak one's generator), and grids get one at
+// every dimension a constructor admits, MaxImplicitDim or not. The guards
+// are conservative: the vertex count, processor count and total edge
+// multiplicity must all match the pristine construction, so degraded
+// clones (deleted wires or processors, cleared geometry) get nil.
+func (m *Machine) Generator() *Implicit {
+	if m.Implicit != nil {
+		return m.Implicit
 	}
-	return m.validate()
+	n, edges := m.Graph.N(), m.Graph.E()
+	if m.Procs != n {
+		return nil
+	}
+	switch m.Family {
+	case WeakHypercubeFamily:
+		order := m.Side
+		if order < 1 || n != 1<<uint(order) || edges != int64(n)*int64(order)/2 {
+			return nil
+		}
+		return hypercubeGen(order)
+	case MeshFamily, TorusFamily:
+		dim, side := m.Dim, m.Side
+		if dim < 1 || dim > maxGridDim || side < 2 {
+			return nil
+		}
+		size := 1
+		for d := 0; d < dim && size <= n; d++ {
+			size *= side
+		}
+		if size != n {
+			return nil
+		}
+		if m.Family == MeshFamily && edges == int64(dim)*int64(n/side)*int64(side-1) {
+			return gridGen(implMesh, dim, side)
+		}
+		if m.Family == TorusFamily && side >= 3 && edges == int64(dim)*int64(n) {
+			return gridGen(implTorus, dim, side) // one +1 edge per vertex per dim
+		}
+	}
+	return nil
 }
 
 // ImplicitSupported reports whether the family has an implicit generator.
@@ -358,38 +416,33 @@ func ImplicitTwin(m *Machine) (*Machine, bool) {
 	if m.Implicit != nil {
 		return m, true
 	}
-	switch m.Family {
-	case WeakHypercubeFamily:
-		// The strong hypercube shares the family but has no caps; only the
-		// weak (uniformly capped) machine has an implicit twin.
-		order := m.Side
-		if order < 1 || order > 26 || m.Procs != 1<<order || m.VertexCap == nil {
-			return nil, false
-		}
-		tw := ImplicitWeakHypercube(order)
-		if tw.Name != m.Name || tw.EdgeCount() != m.Graph.E() {
-			return nil, false
-		}
-		return tw, true
-	case MeshFamily, TorusFamily:
-		if m.Dim < 1 || m.Dim > MaxImplicitDim || m.Side < 2 || m.Procs != pow(m.Side, m.Dim) || m.VertexCap != nil {
-			return nil, false
-		}
-		if m.Family == TorusFamily && m.Side < 3 {
-			return nil, false
-		}
-		var tw *Machine
-		if m.Family == MeshFamily {
-			tw = ImplicitMesh(m.Dim, m.Side)
-		} else {
-			tw = ImplicitTorus(m.Dim, m.Side)
-		}
-		if tw.Name != m.Name || tw.EdgeCount() != m.Graph.E() {
-			return nil, false
-		}
-		return tw, true
+	im := m.Generator()
+	if im == nil {
+		return nil, false
 	}
-	return nil, false
+	var tw *Machine
+	switch im.kind {
+	case implHypercube:
+		// The strong hypercube shares the generator but has no caps; only
+		// the weak (uniformly capped) machine has an implicit twin.
+		if im.order > 26 || m.VertexCap == nil {
+			return nil, false
+		}
+		tw = ImplicitWeakHypercube(im.order)
+	case implMesh, implTorus:
+		if im.dim > MaxImplicitDim || m.VertexCap != nil {
+			return nil, false
+		}
+		if im.kind == implMesh {
+			tw = ImplicitMesh(im.dim, im.side)
+		} else {
+			tw = ImplicitTorus(im.dim, im.side)
+		}
+	}
+	if tw.Name != m.Name {
+		return nil, false
+	}
+	return tw, true
 }
 
 // Materialize returns the explicit twin of an implicit machine (building

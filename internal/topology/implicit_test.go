@@ -158,6 +158,54 @@ func TestImplicitTwinRoundTrip(t *testing.T) {
 	}
 }
 
+// Generator matches every pristine hypercube, mesh and torus regardless
+// of capacities and of MaxImplicitDim, and nothing else; ImplicitTwin
+// stays limited to what the implicit constructors build.
+func TestGeneratorCoversPristineGeometries(t *testing.T) {
+	for _, c := range []struct {
+		m    *Machine
+		twin bool
+	}{
+		{WeakHypercube(5), true},
+		{StrongHypercube(5), false},
+		{Mesh(3, 4), true},
+		{Torus(2, 5), true},
+		{Mesh(9, 2), false},
+		{Mesh(12, 2), false},
+		{Torus(9, 3), false},
+	} {
+		im := c.m.Generator()
+		if im == nil {
+			t.Errorf("%s: no generator", c.m.Name)
+			continue
+		}
+		if im.N() != c.m.Graph.N() || im.E() != c.m.Graph.E() {
+			t.Errorf("%s: generator has %d vertices and %d edges, machine %d and %d",
+				c.m.Name, im.N(), im.E(), c.m.Graph.N(), c.m.Graph.E())
+		}
+		for _, u := range []int{0, 1, c.m.Graph.N() / 3, c.m.Graph.N() - 1} {
+			var got []int
+			im.VisitNeighbors(u, func(_, v int) { got = append(got, v) })
+			if want := c.m.Graph.Neighbors(u); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: neighbours of %d: generator %v, graph %v", c.m.Name, u, got, want)
+			}
+		}
+		if _, ok := ImplicitTwin(c.m); ok != c.twin {
+			t.Errorf("%s: ImplicitTwin ok = %v, want %v", c.m.Name, ok, c.twin)
+		}
+	}
+	rng := rand.New(rand.NewSource(4))
+	for _, m := range []*Machine{
+		DeleteRandomEdges(Mesh(2, 5), 0.2, rng),
+		GlobalBus(8),
+		MeshOfTrees(2, 4),
+	} {
+		if m.Generator() != nil {
+			t.Errorf("%s: unexpected generator", m.Name)
+		}
+	}
+}
+
 func TestBuildImplicitMatchesBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	cases := []struct {
