@@ -392,4 +392,3 @@ func checkCacheReplay(run soakResult, want []record) error {
 	}
 	return nil
 }
-

@@ -24,9 +24,19 @@ type Bounds struct {
 	Bisection float64
 }
 
-// UpperBounds computes the flux and bisection bounds for m. The bisection
-// heuristic uses `restarts` local-search restarts.
+// UpperBounds computes the flux and bisection bounds for m, in that rng
+// order. The bisection heuristic uses `restarts` local-search restarts.
 func UpperBounds(m *topology.Machine, restarts int, rng *rand.Rand) Bounds {
+	flux := fluxBound(m, rng)
+	return Bounds{
+		Flux:      flux,
+		Bisection: 4 * float64(m.Graph.EstimateBisection(restarts, rng)),
+	}
+}
+
+// fluxBound is UpperBounds' Flux, with the average distance sampled from
+// min(64, n) BFS sources.
+func fluxBound(m *topology.Machine, rng *rand.Rand) float64 {
 	g := m.Graph
 	if g == nil {
 		panic(fmt.Sprintf("bandwidth: UpperBounds needs a materialized graph; %s is implicit (use Materialize first)", m.Name))
@@ -48,11 +58,7 @@ func UpperBounds(m *topology.Machine, restarts int, rng *rand.Rand) Bounds {
 	if err != nil {
 		panic(fmt.Sprintf("bandwidth: %s: %v", m.Name, err))
 	}
-	bis := g.EstimateBisection(restarts, rng)
-	return Bounds{
-		Flux:      txcap / avg,
-		Bisection: 4 * float64(bis),
-	}
+	return txcap / avg
 }
 
 // Min returns the tighter of the two bounds.

@@ -28,14 +28,17 @@ func SteadyStateBetaSharded(m *topology.Machine, ticks, iters, shards int, rng *
 }
 
 // SteadyStateBetaOn is SteadyStateBetaSharded on a prebuilt (typically
-// cached) engine, which it never mutates. The rng draw order — the
-// UpperBounds flux draw before the bisection — is exactly the historical
-// one, so cached-engine results are byte-identical to cold ones.
+// cached) engine, which it never mutates. Of the analytic bounds it needs
+// only the flux bound, which caps the search window. The rng contract is
+// that of the UpperBounds(m, 2, rng) call it replaces: the flux bound's
+// draws, then exactly the draws that call's bisection estimate makes —
+// SkipBisectionDraws replays them without computing the estimate — then
+// the search. Results are byte-identical to that form, cold or cached.
 func SteadyStateBetaOn(eng *routing.Engine, ticks, iters, shards int, rng *rand.Rand) float64 {
 	m := eng.M
 	dist := traffic.NewSymmetric(m.N())
-	// The flux bound caps the search window.
-	upper := UpperBounds(m, 2, rng).Flux * 1.5
+	upper := fluxBound(m, rng) * 1.5
+	m.Graph.SkipBisectionDraws(2, rng) // the historical UpperBounds(m, 2, rng)
 	if upper < 2 {
 		upper = 2
 	}

@@ -9,7 +9,11 @@ import (
 // passes over the paths in random order, each path is removed and re-routed
 // along a congestion-aware weighted shortest path (edge cost 1 + load²,
 // which strongly penalizes hot wires while still preferring short routes).
-// It returns the final congestion. The embedding is modified in place.
+// A pass can raise the maximum (rerouting one path shifts load onto
+// another's wires), so Improve keeps the best path set seen — the input or
+// the end of some pass, the earliest on ties — and leaves the embedding on
+// it: the returned congestion never exceeds the input's. The embedding is
+// modified in place.
 func (e *Embedding) Improve(rounds int, rng *rand.Rand) int64 {
 	if rounds < 1 {
 		rounds = 1
@@ -19,6 +23,10 @@ func (e *Embedding) Improve(rounds int, rng *rand.Rand) int64 {
 	for i := range order {
 		order[i] = i
 	}
+	// Reroutes replace a path's Vertices slice and never write into it, so
+	// a shallow copy of Paths is a full snapshot.
+	bestCong := e.Congestion()
+	best := append([]Path(nil), e.Paths...)
 	for round := 0; round < rounds; round++ {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		for _, pi := range order {
@@ -41,8 +49,13 @@ func (e *Embedding) Improve(rounds int, rng *rand.Rand) int64 {
 				loads[keyOf(p.Vertices[i], p.Vertices[i+1])] += mult
 			}
 		}
+		if c := e.Congestion(); c < bestCong {
+			bestCong = c
+			copy(best, e.Paths)
+		}
 	}
-	return e.Congestion()
+	copy(e.Paths, best)
+	return bestCong
 }
 
 // weightedPath runs Dijkstra on the host with edge cost 1 + (load/mult)²,

@@ -76,12 +76,13 @@ func (g *Multigraph) CutWeight(side []bool) int64 {
 // Kernighan–Lin-style local search: `restarts` random balanced partitions,
 // each refined by greedy balanced swaps until no swap improves the cut.
 // For n <= 20 it returns the exact value.
+//
+// Its only rng draws are one rng.Perm(n) per restart (see
+// bisectionRestarts); SkipBisectionDraws replays exactly those.
 func (g *Multigraph) EstimateBisection(restarts int, rng *rand.Rand) int64 {
-	if g.n <= 20 {
+	restarts = g.bisectionRestarts(restarts)
+	if restarts == 0 {
 		return g.ExactBisection()
-	}
-	if restarts < 1 {
-		restarts = 1
 	}
 	best := int64(math.MaxInt64)
 	for r := 0; r < restarts; r++ {
@@ -103,6 +104,26 @@ func (g *Multigraph) EstimateBisection(restarts int, rng *rand.Rand) int64 {
 		}
 	}
 	return best
+}
+
+// bisectionRestarts is how many random restarts EstimateBisection runs
+// on g: 0 when it computes the exact value (n <= 20), else at least 1.
+func (g *Multigraph) bisectionRestarts(restarts int) int {
+	if g.n <= 20 {
+		return 0
+	}
+	return max(restarts, 1)
+}
+
+// SkipBisectionDraws advances rng exactly as EstimateBisection(restarts,
+// rng) would, without computing the bisection: nothing for n <= 20, else
+// one rng.Perm(n) per restart (the sweep and refine passes draw nothing).
+// Callers that need only the rng state after a bisection estimate use it
+// to keep their later draws byte-identical.
+func (g *Multigraph) SkipBisectionDraws(restarts int, rng *rand.Rand) {
+	for r := g.bisectionRestarts(restarts); r > 0; r-- {
+		rng.Perm(g.n)
+	}
 }
 
 func (g *Multigraph) randomBalancedPartition(rng *rand.Rand) []bool {

@@ -162,21 +162,6 @@ func sortInts(a []int) {
 	}
 }
 
-// Eccentricity returns the maximum distance from src to any reachable
-// vertex. It returns an error if some vertex is unreachable.
-func (g *Multigraph) Eccentricity(src int) (int, error) {
-	ecc := 0
-	for v, d := range g.BFS(src) {
-		if d == unreachable {
-			return 0, fmt.Errorf("multigraph: vertex %d unreachable from %d", v, src)
-		}
-		if d > ecc {
-			ecc = d
-		}
-	}
-	return ecc, nil
-}
-
 // Diameter returns the exact diameter by running a BFS from every vertex.
 // O(n * (n + pairs)); use EstimateDiameter for large graphs. It returns an
 // error on disconnected graphs.
@@ -184,17 +169,19 @@ func (g *Multigraph) Diameter() (int, error) {
 	if g.n == 0 {
 		return 0, nil
 	}
-	diam := 0
+	f := g.flat()
+	diam := int32(0)
 	for u := 0; u < g.n; u++ {
-		ecc, err := g.Eccentricity(u)
-		if err != nil {
-			return 0, err
-		}
-		if ecc > diam {
-			diam = ecc
+		for v, d := range f.bfs(u) {
+			if d == unreachable {
+				return 0, fmt.Errorf("multigraph: vertex %d unreachable from %d", v, u)
+			}
+			if d > diam {
+				diam = d
+			}
 		}
 	}
-	return diam, nil
+	return int(diam), nil
 }
 
 // EstimateDiameter lower-bounds the diameter with a double-sweep heuristic
@@ -238,21 +225,21 @@ func (g *Multigraph) AverageDistance() (float64, error) {
 	if g.n < 2 {
 		return 0, fmt.Errorf("multigraph: average distance undefined for n=%d", g.n)
 	}
+	f := g.flat()
 	var total int64
 	for u := 0; u < g.n; u++ {
-		for v, d := range g.BFS(u) {
-			if d == unreachable {
-				return 0, fmt.Errorf("multigraph: vertex %d unreachable from %d", v, u)
-			}
-			total += int64(d)
+		sum, err := f.distanceSum(u)
+		if err != nil {
+			return 0, err
 		}
+		total += sum
 	}
 	return float64(total) / float64(g.n) / float64(g.n-1), nil
 }
 
 // SampleAverageDistance estimates the mean pairwise distance from `samples`
-// random BFS sources. For samples >= n it falls back to the exact
-// computation.
+// random BFS sources, drawing one rng.Intn(n) per source. For samples >= n
+// it falls back to the exact computation, which draws nothing.
 func (g *Multigraph) SampleAverageDistance(samples int, rng *rand.Rand) (float64, error) {
 	if g.n < 2 {
 		return 0, fmt.Errorf("multigraph: average distance undefined for n=%d", g.n)
@@ -263,15 +250,81 @@ func (g *Multigraph) SampleAverageDistance(samples int, rng *rand.Rand) (float64
 	if samples < 1 {
 		samples = 1
 	}
+	f := g.flat()
 	var total int64
 	for s := 0; s < samples; s++ {
-		u := rng.Intn(g.n)
-		for v, d := range g.BFS(u) {
-			if d == unreachable {
-				return 0, fmt.Errorf("multigraph: vertex %d unreachable from %d", v, u)
-			}
-			total += int64(d)
+		sum, err := f.distanceSum(rng.Intn(g.n))
+		if err != nil {
+			return 0, err
 		}
+		total += sum
 	}
 	return float64(total) / float64(samples) / float64(g.n-1), nil
+}
+
+// flatGraph is a CSR snapshot of a multigraph's adjacency: u's distinct
+// neighbours are nbr[off[u]:off[u+1]], in map order. The all-sources
+// distance measures run their BFSes over it instead of over the maps;
+// distances do not depend on neighbour order, so results are unchanged.
+// dist and queue are scratch reused by every bfs call.
+type flatGraph struct {
+	off, nbr    []int32
+	dist, queue []int32
+}
+
+// flat snapshots g's adjacency.
+func (g *Multigraph) flat() *flatGraph {
+	f := &flatGraph{
+		off:   make([]int32, g.n+1),
+		dist:  make([]int32, g.n),
+		queue: make([]int32, g.n),
+	}
+	pairs := 0
+	for u := 0; u < g.n; u++ {
+		pairs += len(g.adj[u])
+	}
+	f.nbr = make([]int32, 0, pairs)
+	for u := 0; u < g.n; u++ {
+		for v := range g.adj[u] {
+			f.nbr = append(f.nbr, int32(v))
+		}
+		f.off[u+1] = int32(len(f.nbr))
+	}
+	return f
+}
+
+// bfs fills and returns the distances from src (unreachable = -1). The
+// slice is f's scratch: valid until the next bfs call.
+func (f *flatGraph) bfs(src int) []int32 {
+	dist, queue := f.dist, f.queue
+	for i := range dist {
+		dist[i] = unreachable
+	}
+	dist[src] = 0
+	queue[0] = int32(src)
+	for head, tail := 0, 1; head < tail; head++ {
+		u := queue[head]
+		du := dist[u] + 1
+		for _, v := range f.nbr[f.off[u]:f.off[u+1]] {
+			if dist[v] == unreachable {
+				dist[v] = du
+				queue[tail] = v
+				tail++
+			}
+		}
+	}
+	return dist
+}
+
+// distanceSum returns the sum of distances from src to every vertex, or
+// an error naming the lowest-numbered vertex src cannot reach.
+func (f *flatGraph) distanceSum(src int) (int64, error) {
+	var sum int64
+	for v, d := range f.bfs(src) {
+		if d == unreachable {
+			return 0, fmt.Errorf("multigraph: vertex %d unreachable from %d", v, src)
+		}
+		sum += int64(d)
+	}
+	return sum, nil
 }

@@ -176,7 +176,8 @@ const simPoolCap = 4
 // NewShardedSim), recycling a pooled one when a retired sim with the same
 // shard count exists. The recycled sim is Reset on rng, so results are
 // byte-identical to a fresh NewShardedSim — pooling is purely an allocation
-// optimization. Pair with ReleaseSim (or Close).
+// optimization. Pair with ReleaseSim (or Close). Pooled sims keep no worker
+// goroutines; a recycled sharded sim gets fresh ones here.
 func (e *Engine) AcquireSim(rng *rand.Rand, shards int) *Sim {
 	if shards < 1 {
 		shards = 1
@@ -192,6 +193,9 @@ func (e *Engine) AcquireSim(rng *rand.Rand, shards int) *Sim {
 			e.simFree = e.simFree[:len(e.simFree)-1]
 			e.simMu.Unlock()
 			s.Reset(rng)
+			if shards > 1 {
+				s.startWorkers()
+			}
 			return s
 		}
 	}
@@ -215,6 +219,7 @@ func (e *Engine) ReleaseSim(s *Sim) {
 	}
 	e.simMu.Lock()
 	if len(e.simFree) < simPoolCap {
+		s.stopWorkers()
 		e.simFree = append(e.simFree, s)
 		e.simMu.Unlock()
 		return

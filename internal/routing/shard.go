@@ -475,6 +475,18 @@ func (s *Sim) startWorkers() {
 	}
 }
 
+// stopWorkers ends the worker goroutines (each exits once its cmd channel
+// closes). Close calls it, and so does ReleaseSim before pooling a sim, so
+// a pooled sim holds memory only: an engine dropped with sims in its pool
+// — a cold run's, or one evicted from an artifact cache — leaks no
+// goroutine. AcquireSim restarts the workers of a recycled sim.
+func (s *Sim) stopWorkers() {
+	for _, w := range s.workers {
+		close(w.cmd)
+	}
+	s.workers = nil
+}
+
 // tickShard runs one shard's full tick: move, publish the shard's epoch
 // (the release point for its outboxes), wait for the in-neighbour shards'
 // epochs (the acquire point for theirs), arrive. The atomic store/load

@@ -247,7 +247,8 @@ func (s *Sim) ShardCount() int { return len(s.shards) }
 // Reset returns the sim to the state a fresh NewShardedSim on the same
 // engine and partition would have, rooted at rng, while keeping every
 // allocation: chunk arenas, queue tables, mailbox backing arrays, histogram
-// buckets, and the worker goroutines all survive. A warm (reset) run is
+// buckets, and the worker goroutines all survive (a sim retired to its
+// engine's pool has none; AcquireSim restarts them). A warm (reset) run is
 // byte-identical to a cold one because the only run-visible state — queues,
 // per-tick wire usage, counters, histograms, epochs, and the rng-derived
 // plan seed — is restored exactly; the recycled storage is never observable.
@@ -311,9 +312,7 @@ func (s *Sim) Close() {
 		return
 	}
 	s.closed = true
-	for _, w := range s.workers {
-		close(w.cmd)
-	}
+	s.stopWorkers()
 }
 
 // vertexRand derives vertex u's decision stream for the current tick:

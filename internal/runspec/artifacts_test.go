@@ -4,8 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/routing"
 	"repro/internal/traffic"
@@ -301,4 +303,48 @@ func BenchmarkExecuteColdVsWarm(b *testing.B) {
 			}
 		}
 	})
+}
+
+// settledGoroutines waits (briefly) for exiting goroutines to finish and
+// returns the count once it is at or below want, or the last count seen.
+func settledGoroutines(want int) int {
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(2 * time.Second); n > want && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(5 * time.Millisecond)
+	}
+	return n
+}
+
+// Sharded sims run worker goroutines. A cold Execute drops its engine
+// with the sim in the engine's pool, and an artifact-cache eviction drops
+// a cached engine the same way; neither may leave a goroutine behind.
+func TestShardedRunsLeakNoGoroutines(t *testing.T) {
+	steady := func(size int) Spec {
+		return Spec{Kind: KindSteadyBeta, Machine: &MachineSpec{Family: "mesh", Dim: 2, Size: size}, Ticks: 60, Iters: 3, Shards: 2, Seed: 3}
+	}
+	openLoop := Spec{Kind: KindOpenLoop, Machine: &MachineSpec{Family: "mesh", Dim: 2, Size: 16}, Rate: 0.5, Ticks: 60, Shards: 2, Seed: 3}
+	base := runtime.NumGoroutine()
+	for i := 0; i < 10; i++ {
+		for _, s := range []Spec{steady(16), openLoop} {
+			if _, err := Execute(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if n := settledGoroutines(base); n > base {
+		t.Errorf("after 20 cold sharded runs: %d goroutines, baseline %d", n, base)
+	}
+
+	cache := NewArtifactCache(1, 1)
+	for _, size := range []int{16, 25, 36, 16} { // every run evicts the last engine
+		if _, err := ExecuteCached(cache, steady(size)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := cache.EngineBuilds(); got != 4 {
+		t.Fatalf("engine builds = %d, want 4 (each run evicts the previous engine)", got)
+	}
+	if n := settledGoroutines(base); n > base {
+		t.Errorf("after artifact-cache evictions: %d goroutines, baseline %d", n, base)
+	}
 }

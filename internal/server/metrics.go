@@ -76,25 +76,25 @@ func (m *metrics) observe(endpoint string, status int, micros int64) {
 
 // snapshot flattens everything into an ordered, JSON-ready document.
 type metricsSnapshot struct {
-	Requests      int64                      `json:"requests"`
-	InFlight      int64                      `json:"in_flight"`
-	CoalescedHits int64                      `json:"coalesced_hits"`
-	MemoHits      int64                      `json:"memo_hits"`
-	DiskHits      int64                      `json:"disk_hits"`
-	DiskMisses    int64                      `json:"disk_misses"`
-	Executions    int64                      `json:"executions"`
-	ShedQueueFull int64                      `json:"shed_queue_full"`
-	ShedDraining  int64                      `json:"shed_draining"`
-	Timeouts      int64                      `json:"timeouts"`
-	Panics        int64                      `json:"panics"`
-	Sweeps        int64                      `json:"sweeps"`
-	SweepPoints   int64                      `json:"sweep_points"`
-	ResultsServed int64                      `json:"results_served"`
-	SchedPoints   int64                      `json:"scheduled_points"`
-	SchedErrors   int64                      `json:"scheduled_errors"`
-	Store         *storeReport               `json:"store,omitempty"`
-	Cluster       *clusterReport             `json:"cluster,omitempty"`
-	Endpoints     map[string]endpointReport  `json:"endpoints"`
+	Requests      int64                     `json:"requests"`
+	InFlight      int64                     `json:"in_flight"`
+	CoalescedHits int64                     `json:"coalesced_hits"`
+	MemoHits      int64                     `json:"memo_hits"`
+	DiskHits      int64                     `json:"disk_hits"`
+	DiskMisses    int64                     `json:"disk_misses"`
+	Executions    int64                     `json:"executions"`
+	ShedQueueFull int64                     `json:"shed_queue_full"`
+	ShedDraining  int64                     `json:"shed_draining"`
+	Timeouts      int64                     `json:"timeouts"`
+	Panics        int64                     `json:"panics"`
+	Sweeps        int64                     `json:"sweeps"`
+	SweepPoints   int64                     `json:"sweep_points"`
+	ResultsServed int64                     `json:"results_served"`
+	SchedPoints   int64                     `json:"scheduled_points"`
+	SchedErrors   int64                     `json:"scheduled_errors"`
+	Store         *storeReport              `json:"store,omitempty"`
+	Cluster       *clusterReport            `json:"cluster,omitempty"`
+	Endpoints     map[string]endpointReport `json:"endpoints"`
 }
 
 // storeReport is the result store's conservation view: every served

@@ -107,10 +107,10 @@ type Server struct {
 	coalescer *coalescer
 	admission *admission
 
-	memo     sync.Map // canonical key -> []byte response body
-	memoLen  int64    // approximate entry count, under memoMu
-	memoMu   sync.Mutex
-	memoCap  int64
+	memo    sync.Map // canonical key -> []byte response body
+	memoLen int64    // approximate entry count, under memoMu
+	memoMu  sync.Mutex
+	memoCap int64
 
 	draining  chan struct{} // closed by BeginDrain
 	drainOnce sync.Once

@@ -83,8 +83,8 @@ func TestMeasureHappyPath(t *testing.T) {
 	// The response must be the exact bytes Execute+MarshalIndent produce —
 	// the same pipeline betameter -json uses, which is the parity contract.
 	spec := runspec.Spec{
-		Kind:    runspec.KindBeta,
-		Machine: &runspec.MachineSpec{Family: "Mesh", Dim: 2, Size: 16},
+		Kind:        runspec.KindBeta,
+		Machine:     &runspec.MachineSpec{Family: "Mesh", Dim: 2, Size: 16},
 		LoadFactors: []int{2}, Trials: 1, Seed: 3,
 	}
 	want, err := runspec.Execute(spec)

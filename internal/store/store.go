@@ -23,16 +23,22 @@
 // The in-memory index (rebuilt from the log on Open) maps keys to file
 // positions and carries the queryable metadata: kind, family, dim,
 // size, seed, measurement version, and the append sequence number that
-// gives /v1/results its stable pagination order.
+// gives /v1/results its stable pagination order. It is sized for
+// long-running servers: one fixed-size, pointer-free entry per record
+// (the key as its 16 digest bytes, repeated strings as interned ids,
+// geometry as int32) plus the record's canonical string in a shared
+// byte arena — see indexEntry.
 package store
 
 import (
 	"bufio"
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -90,13 +96,70 @@ type record struct {
 	Body json.RawMessage `json:"body"`
 }
 
-// indexEntry locates a record and carries the dedup digest.
+// indexEntry is one record's index row: where the record lives, its
+// dedup digest, and its Meta in compact form. It holds no pointers, so
+// the GC never scans the entry pages. Strings that repeat across records
+// (kind, families, version) are ids into Store.syms, the segment is an
+// id into Store.segments, and the canonical string lives in Store.canon.
+// Store.meta reassembles the public form.
 type indexEntry struct {
-	meta       Meta
-	segment    string // file name within dir
-	offset     int64  // byte offset of the record line
-	length     int64  // line length including the trailing newline
-	bodyDigest [32]byte
+	seq, storedNS, seed int64
+	offset              int64 // byte offset of the record line
+	key                 [16]byte
+	bodyDigest          [16]byte
+	canon               canonRef
+	length              uint32 // line length including the trailing newline
+	dim, size           int32
+	hostDim, hostSize   int32
+	segment             uint32
+	kind, family        uint16
+	hostFamily, version uint16
+	dead                bool // superseded by a later record for the key
+}
+
+// canonRef locates a canonical string in the canonArena.
+type canonRef struct{ chunk, off, n uint32 }
+
+// canonArena stores canonical strings back to back in large chunks, so
+// a record pays for its bytes and no per-string header or size-class
+// rounding. Chunks are append-only: a stored string never moves.
+type canonArena struct{ chunks [][]byte }
+
+const canonChunkBytes = 64 << 10
+
+func (a *canonArena) add(s string) canonRef {
+	last := len(a.chunks) - 1
+	if last < 0 || len(a.chunks[last])+len(s) > cap(a.chunks[last]) {
+		a.chunks = append(a.chunks, make([]byte, 0, max(canonChunkBytes, len(s))))
+		last++
+	}
+	c := a.chunks[last]
+	a.chunks[last] = append(c, s...)
+	return canonRef{chunk: uint32(last), off: uint32(len(c)), n: uint32(len(s))}
+}
+
+func (a *canonArena) get(r canonRef) string {
+	return string(a.chunks[r.chunk][r.off : r.off+r.n])
+}
+
+// digest16 is the dedup digest of a compact body: the first 16 bytes of
+// its SHA-256, as wide as a key.
+func digest16(body []byte) [16]byte {
+	sum := sha256.Sum256(body)
+	return [16]byte(sum[:16])
+}
+
+// parseKey recovers the digest bytes of a key in KeyOf's exact form
+// (lower-case hex), so the key the index rebuilds from them is the same
+// string.
+func parseKey(key string) ([16]byte, bool) {
+	var k [16]byte
+	hexPart, ok := strings.CutPrefix(key, KeyPrefix)
+	if !ok || len(hexPart) != 2*len(k) || strings.ContainsAny(hexPart, "ABCDEF") {
+		return k, false
+	}
+	_, err := hex.Decode(k[:], []byte(hexPart))
+	return k, err == nil
 }
 
 // Store is the append-only result store. Safe for concurrent use.
@@ -105,13 +168,18 @@ type Store struct {
 	segBytes int64
 	now      func() time.Time
 
-	mu      sync.RWMutex
-	byKey   map[string]*indexEntry
-	ordered []*indexEntry // ascending Seq; superseded entries removed
-	nextSeq int64
-	active  *os.File
-	activeN int64 // current size of the active segment
-	sealed  int   // how many sealed segments exist (next seal number - 1)
+	mu sync.RWMutex
+	// entries holds every indexed record in ascending Seq; a superseded
+	// one stays in place, marked dead, until the next Open.
+	entries  entryLog
+	keys     keyTable
+	canon    canonArena
+	syms     []string // interned kind/family/version strings; syms[0] == ""
+	symIDs   map[string]uint16
+	segments []string // activeName, then the sealed segments in order
+	nextSeq  int64
+	active   *os.File
+	activeN  int64 // current size of the active segment
 
 	appends    int64 // records written to disk
 	dupSkips   int64 // appends deduplicated away
@@ -146,7 +214,9 @@ func OpenWithSegmentBytes(dir string, segBytes int64) (*Store, error) {
 		dir:      dir,
 		segBytes: segBytes,
 		now:      time.Now,
-		byKey:    make(map[string]*indexEntry),
+		syms:     []string{""},
+		symIDs:   map[string]uint16{"": 0},
+		segments: []string{activeName},
 		nextSeq:  1,
 	}
 	names, err := s.segmentNames()
@@ -154,11 +224,12 @@ func OpenWithSegmentBytes(dir string, segBytes int64) (*Store, error) {
 		return nil, err
 	}
 	for _, name := range names {
-		if err := s.loadSegment(name, false); err != nil {
+		s.segments = append(s.segments, name)
+		if err := s.loadSegment(name, uint32(len(s.segments)-1), false); err != nil {
 			return nil, err
 		}
 	}
-	if err := s.loadSegment(activeName, true); err != nil {
+	if err := s.loadSegment(activeName, 0, true); err != nil {
 		return nil, err
 	}
 	f, err := os.OpenFile(filepath.Join(dir, activeName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -172,9 +243,119 @@ func OpenWithSegmentBytes(dir string, segBytes int64) (*Store, error) {
 	}
 	s.active = f
 	s.activeN = info.Size()
-	s.sealed = len(names)
-	sort.Slice(s.ordered, func(i, j int) bool { return s.ordered[i].meta.Seq < s.ordered[j].meta.Seq })
+	s.compactIndex()
 	return s, nil
+}
+
+// compactIndex drops dead entries, sorts the rest by Seq and rebuilds
+// the key table to match.
+func (s *Store) compactIndex() {
+	live := 0
+	for i := 0; i < s.entries.n; i++ {
+		if e := s.entries.at(i); !e.dead {
+			*s.entries.at(live) = *e
+			live++
+		}
+	}
+	s.entries.truncate(live)
+	sort.Sort(&s.entries)
+	s.keys.rebuild(&s.entries)
+}
+
+// entryLog is the index's entry array, stored in fixed-size pages so
+// that growing it never copies the entries already held: one contiguous
+// array would, on each growth, briefly need its old and new copies at
+// once, and that transient is the store's peak memory.
+type entryLog struct {
+	pages [][]indexEntry
+	n     int
+}
+
+const entryPageLen = 1024
+
+func (l *entryLog) at(i int) *indexEntry { return &l.pages[i/entryPageLen][i%entryPageLen] }
+
+func (l *entryLog) push(e indexEntry) {
+	if l.n == len(l.pages)*entryPageLen {
+		l.pages = append(l.pages, make([]indexEntry, entryPageLen))
+	}
+	l.n++
+	*l.at(l.n - 1) = e
+}
+
+// truncate keeps the first n entries, releasing the pages past them.
+func (l *entryLog) truncate(n int) {
+	clear(l.pages[(n+entryPageLen-1)/entryPageLen:])
+	l.pages = l.pages[:(n+entryPageLen-1)/entryPageLen]
+	l.n = n
+}
+
+// Len, Less and Swap sort the entries by Seq.
+func (l *entryLog) Len() int           { return l.n }
+func (l *entryLog) Less(i, j int) bool { return l.at(i).seq < l.at(j).seq }
+func (l *entryLog) Swap(i, j int)      { a, b := l.at(i), l.at(j); *a, *b = *b, *a }
+
+// keyTable finds a key's live entry: an open-addressing hash table whose
+// slot value i+1 refers to entries[i] (0 is empty). Keys are SHA-256
+// prefixes, so their first 8 bytes already hash uniformly. Kept at most
+// half full, it costs 8–16 B per key, where a Go map of the same pairs
+// costs about twice that.
+type keyTable struct {
+	slots []int32
+	n     int // keys held
+}
+
+// slot returns the slot holding key, or the empty slot where it belongs.
+func (t *keyTable) slot(entries *entryLog, key [16]byte) int {
+	mask := len(t.slots) - 1
+	for i := int(binary.LittleEndian.Uint64(key[:8])) & mask; ; i = (i + 1) & mask {
+		if v := t.slots[i]; v == 0 || entries.at(int(v-1)).key == key {
+			return i
+		}
+	}
+}
+
+// get returns the index of key's live entry.
+func (t *keyTable) get(entries *entryLog, key [16]byte) (int, bool) {
+	if t.n == 0 {
+		return 0, false
+	}
+	v := t.slots[t.slot(entries, key)]
+	return int(v - 1), v != 0
+}
+
+// set points entries[i].key at entries[i], growing the table first when
+// a new key would fill it past half.
+func (t *keyTable) set(entries *entryLog, i int) {
+	if 2*(t.n+1) > len(t.slots) {
+		t.grow(entries, max(16, 2*len(t.slots)))
+	}
+	j := t.slot(entries, entries.at(i).key)
+	if t.slots[j] == 0 {
+		t.n++
+	}
+	t.slots[j] = int32(i + 1)
+}
+
+// rebuild re-indexes entries (all live, keys distinct) from scratch.
+func (t *keyTable) rebuild(entries *entryLog) {
+	size := 16
+	for size < 2*entries.n {
+		size *= 2
+	}
+	t.grow(entries, size)
+}
+
+// grow re-hashes every live entry into a fresh table of the given
+// power-of-two size.
+func (t *keyTable) grow(entries *entryLog, size int) {
+	t.slots, t.n = make([]int32, size), 0
+	for i := 0; i < entries.n; i++ {
+		if e := entries.at(i); !e.dead {
+			t.slots[t.slot(entries, e.key)] = int32(i + 1)
+			t.n++
+		}
+	}
 }
 
 // segmentNames lists the sealed segments in ascending order.
@@ -203,7 +384,7 @@ func (s *Store) segmentNames() ([]string, error) {
 // reopen contract. Sealed segments were complete when renamed into
 // place, so an invalid line there is corruption; it is skipped (the
 // store degrades to missing that record, never to failing to open).
-func (s *Store) loadSegment(name string, truncate bool) error {
+func (s *Store) loadSegment(name string, segment uint32, truncate bool) error {
 	path := filepath.Join(s.dir, name)
 	f, err := os.Open(path)
 	if err != nil {
@@ -223,8 +404,13 @@ func (s *Store) loadSegment(name string, truncate bool) error {
 			break
 		}
 		var rec record
-		valid := complete && json.Unmarshal(line, &rec) == nil &&
-			rec.Key != "" && rec.Seq > 0 && len(rec.Body) > 0
+		var e indexEntry
+		valid := complete && json.Unmarshal(line, &rec) == nil && rec.Seq > 0 && len(rec.Body) > 0
+		if valid {
+			var eerr error
+			e, eerr = s.newEntry(rec.Meta, digest16(rec.Body), segment, offset, int64(len(line)))
+			valid = eerr == nil
+		}
 		if !valid {
 			if truncate {
 				// Torn tail: drop everything from the first bad byte on.
@@ -239,7 +425,7 @@ func (s *Store) loadSegment(name string, truncate bool) error {
 			}
 			continue
 		}
-		s.indexRecord(rec, name, offset, int64(len(line)))
+		s.install(e, rec.Canonical)
 		offset += int64(len(line))
 		if err != nil {
 			break
@@ -248,31 +434,96 @@ func (s *Store) loadSegment(name string, truncate bool) error {
 	return nil
 }
 
-// indexRecord installs one decoded record, superseding any older entry
-// for the same key (later Seq wins — segments are scanned in order).
-func (s *Store) indexRecord(rec record, segment string, offset, length int64) {
-	e := &indexEntry{
-		meta:       rec.Meta,
-		segment:    segment,
-		offset:     offset,
-		length:     length,
-		bodyDigest: sha256.Sum256(rec.Body),
+// newEntry builds the index entry for one record. It fails for a record
+// the compact entry cannot represent: a key KeyOf did not produce,
+// geometry beyond int32, or a line or string table past its 32- or
+// 16-bit id space.
+func (s *Store) newEntry(m Meta, bodyDigest [16]byte, segment uint32, offset, length int64) (indexEntry, error) {
+	key, ok := parseKey(m.Key)
+	if !ok {
+		return indexEntry{}, fmt.Errorf("store: malformed key %q (want KeyOf's form)", m.Key)
 	}
-	if old, ok := s.byKey[rec.Key]; ok {
-		if old.meta.Seq >= rec.Seq {
+	e := indexEntry{
+		seq:        m.Seq,
+		storedNS:   m.StoredUnixNS,
+		seed:       m.Seed,
+		offset:     offset,
+		key:        key,
+		bodyDigest: bodyDigest,
+		length:     uint32(length),
+		dim:        int32(m.Dim),
+		size:       int32(m.Size),
+		hostDim:    int32(m.HostDim),
+		hostSize:   int32(m.HostSize),
+		segment:    segment,
+	}
+	if int64(e.length) != length || len(m.Canonical) > math.MaxUint32 ||
+		int(e.dim) != m.Dim || int(e.size) != m.Size || int(e.hostDim) != m.HostDim || int(e.hostSize) != m.HostSize {
+		return indexEntry{}, fmt.Errorf("store: record %s exceeds the index's field widths", m.Key)
+	}
+	var ok1, ok2, ok3, ok4 bool
+	e.kind, ok1 = s.intern(m.Kind)
+	e.family, ok2 = s.intern(m.Family)
+	e.hostFamily, ok3 = s.intern(m.HostFamily)
+	e.version, ok4 = s.intern(m.Version)
+	if !ok1 || !ok2 || !ok3 || !ok4 {
+		return indexEntry{}, fmt.Errorf("store: more than %d distinct kind, family and version strings", math.MaxUint16+1)
+	}
+	return e, nil
+}
+
+// install adds an entry, superseding any older entry for the same key
+// (later Seq wins — segments are scanned in order).
+func (s *Store) install(e indexEntry, canonical string) {
+	if i, ok := s.keys.get(&s.entries, e.key); ok {
+		old := s.entries.at(i)
+		if old.seq >= e.seq {
 			return
 		}
-		for i, oe := range s.ordered {
-			if oe == old {
-				s.ordered = append(s.ordered[:i], s.ordered[i+1:]...)
-				break
-			}
-		}
+		// Same key, same canonical string: share its bytes.
+		old.dead = true
+		e.canon = old.canon
+	} else {
+		e.canon = s.canon.add(canonical)
 	}
-	s.byKey[rec.Key] = e
-	s.ordered = append(s.ordered, e)
-	if rec.Seq >= s.nextSeq {
-		s.nextSeq = rec.Seq + 1
+	s.entries.push(e)
+	s.keys.set(&s.entries, s.entries.n-1)
+	if e.seq >= s.nextSeq {
+		s.nextSeq = e.seq + 1
+	}
+}
+
+// intern returns v's id in the string table, adding it if new; false
+// once the table is full.
+func (s *Store) intern(v string) (uint16, bool) {
+	if id, ok := s.symIDs[v]; ok {
+		return id, true
+	}
+	if len(s.syms) > math.MaxUint16 {
+		return 0, false
+	}
+	id := uint16(len(s.syms))
+	s.syms = append(s.syms, v)
+	s.symIDs[v] = id
+	return id, true
+}
+
+// meta reassembles the public Meta of an entry. Called with mu held.
+func (s *Store) meta(e *indexEntry) Meta {
+	return Meta{
+		Key:          KeyPrefix + hex.EncodeToString(e.key[:]),
+		Canonical:    s.canon.get(e.canon),
+		Kind:         s.syms[e.kind],
+		Family:       s.syms[e.family],
+		Dim:          int(e.dim),
+		Size:         int(e.size),
+		Seed:         e.seed,
+		HostFamily:   s.syms[e.hostFamily],
+		HostDim:      int(e.hostDim),
+		HostSize:     int(e.hostSize),
+		Version:      s.syms[e.version],
+		Seq:          e.seq,
+		StoredUnixNS: e.storedNS,
 	}
 }
 
@@ -295,7 +546,7 @@ func (s *Store) Dir() string { return s.dir }
 func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.ordered)
+	return s.keys.n
 }
 
 // Counts returns the append accounting: records written, appends
@@ -318,16 +569,21 @@ func (s *Store) Append(meta Meta, body []byte) (int64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("store: body is not JSON: %w", err)
 	}
-	digest := sha256.Sum256(compact)
+	digest := digest16(compact)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.active == nil {
 		return 0, fmt.Errorf("store: append on closed store")
 	}
-	if old, ok := s.byKey[meta.Key]; ok && old.bodyDigest == digest {
+	key, ok := parseKey(meta.Key)
+	if !ok {
+		return 0, fmt.Errorf("store: malformed key %q (want KeyOf's form)", meta.Key)
+	}
+	old, existed := s.keys.get(&s.entries, key)
+	if existed && s.entries.at(old).bodyDigest == digest {
 		s.dupSkips++
-		return old.meta.Seq, nil
+		return s.entries.at(old).seq, nil
 	}
 	meta.Seq = s.nextSeq
 	meta.StoredUnixNS = s.now().UnixNano()
@@ -337,17 +593,21 @@ func (s *Store) Append(meta Meta, body []byte) (int64, error) {
 		return 0, fmt.Errorf("store: marshal record: %w", err)
 	}
 	line = append(line, '\n')
+	// Build the entry first, so a record the index cannot hold is refused
+	// before it reaches disk.
+	e, err := s.newEntry(meta, digest, 0, s.activeN, int64(len(line)))
+	if err != nil {
+		return 0, err
+	}
 	if _, err := s.active.Write(line); err != nil {
 		return 0, fmt.Errorf("store: append: %w", err)
 	}
-	offset := s.activeN
 	s.activeN += int64(len(line))
-	s.nextSeq++
 	s.appends++
-	if _, existed := s.byKey[meta.Key]; existed {
+	if existed {
 		s.superseded++
 	}
-	s.indexRecord(record{Meta: meta, Body: compact}, activeName, offset, int64(len(line)))
+	s.install(e, meta.Canonical)
 	if s.activeN >= s.segBytes {
 		if err := s.seal(); err != nil {
 			return meta.Seq, err
@@ -364,14 +624,15 @@ func (s *Store) seal() error {
 	if err := s.active.Close(); err != nil {
 		return fmt.Errorf("store: sealing active segment: %w", err)
 	}
-	name := fmt.Sprintf("seg-%08d.log", s.sealed+1)
+	name := fmt.Sprintf("seg-%08d.log", len(s.segments))
 	if err := os.Rename(filepath.Join(s.dir, activeName), filepath.Join(s.dir, name)); err != nil {
 		return fmt.Errorf("store: sealing active segment: %w", err)
 	}
-	s.sealed++
-	for _, e := range s.ordered {
-		if e.segment == activeName {
-			e.segment = name
+	s.segments = append(s.segments, name)
+	id := uint32(len(s.segments) - 1)
+	for i := 0; i < s.entries.n; i++ {
+		if e := s.entries.at(i); e.segment == 0 {
+			e.segment = id
 		}
 	}
 	f, err := os.OpenFile(filepath.Join(s.dir, activeName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -402,14 +663,19 @@ func compactBody(body []byte) (json.RawMessage, error) {
 // compact body re-indented to the MarshalIndent form plus the trailing
 // newline — byte-identical to the 200 response that was recorded.
 func (s *Store) Get(key string) (Meta, []byte, bool) {
+	k, ok := parseKey(key)
+	if !ok {
+		return Meta{}, nil, false
+	}
 	s.mu.RLock()
-	e, ok := s.byKey[key]
+	i, ok := s.keys.get(&s.entries, k)
 	if !ok {
 		s.mu.RUnlock()
 		return Meta{}, nil, false
 	}
-	meta := e.meta
-	segment, offset, length := e.segment, e.offset, e.length
+	e := s.entries.at(i)
+	meta := s.meta(e)
+	segment, offset, length := s.segments[e.segment], e.offset, e.length
 	s.mu.RUnlock()
 
 	line, err := s.readAt(segment, offset, length)
@@ -417,8 +683,9 @@ func (s *Store) Get(key string) (Meta, []byte, bool) {
 		// The segment may have been sealed (renamed) between the index
 		// read and the file read; retry once against the fresh location.
 		s.mu.RLock()
-		if e2, ok2 := s.byKey[key]; ok2 {
-			segment, offset, length = e2.segment, e2.offset, e2.length
+		if i2, ok2 := s.keys.get(&s.entries, k); ok2 {
+			e2 := s.entries.at(i2)
+			segment, offset, length = s.segments[e2.segment], e2.offset, e2.length
 		}
 		s.mu.RUnlock()
 		if line, err = s.readAt(segment, offset, length); err != nil {
@@ -436,7 +703,7 @@ func (s *Store) Get(key string) (Meta, []byte, bool) {
 	return meta, body, true
 }
 
-func (s *Store) readAt(segment string, offset, length int64) ([]byte, error) {
+func (s *Store) readAt(segment string, offset int64, length uint32) ([]byte, error) {
 	f, err := os.Open(filepath.Join(s.dir, segment))
 	if err != nil {
 		return nil, err
@@ -495,23 +762,35 @@ func (s *Store) Query(q Query) (metas []Meta, next int64) {
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	// Binary search to the first Seq > cursor; ordered is Seq-ascending.
-	lo := sort.Search(len(s.ordered), func(i int) bool { return s.ordered[i].meta.Seq > q.Cursor })
-	for i := lo; i < len(s.ordered); i++ {
-		m := s.ordered[i].meta
-		if q.Kind != "" && m.Kind != q.Kind {
-			continue
+	kind, family := uint16(0), uint16(0)
+	var ok bool
+	if q.Kind != "" {
+		if kind, ok = s.symIDs[q.Kind]; !ok {
+			return nil, 0
 		}
-		if q.Family != "" && m.Family != q.Family && m.HostFamily != q.Family {
-			continue
+	}
+	if q.Family != "" {
+		if family, ok = s.symIDs[q.Family]; !ok {
+			return nil, 0
 		}
-		if !q.Since.IsZero() && m.StoredUnixNS < q.Since.UnixNano() {
+	}
+	since := int64(math.MinInt64)
+	if !q.Since.IsZero() {
+		since = q.Since.UnixNano()
+	}
+	// Binary search to the first Seq > cursor; entries are Seq-ascending.
+	lo := sort.Search(s.entries.n, func(i int) bool { return s.entries.at(i).seq > q.Cursor })
+	for i := lo; i < s.entries.n; i++ {
+		e := s.entries.at(i)
+		if e.dead || q.Kind != "" && e.kind != kind ||
+			q.Family != "" && e.family != family && e.hostFamily != family ||
+			e.storedNS < since {
 			continue
 		}
 		if len(metas) == limit {
 			return metas, metas[len(metas)-1].Seq
 		}
-		metas = append(metas, m)
+		metas = append(metas, s.meta(e))
 	}
 	return metas, 0
 }

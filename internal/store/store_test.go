@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -179,9 +181,31 @@ func TestIndexRebuildByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	metas := appendN(t, s, 20)
+	// A superseded key and an emulation row (host fields set) exercise
+	// the dead-entry and host-family paths of the compact index.
+	if _, err := s.Append(metas[3], wire(t, map[string]any{"kind": "beta", "beta": 99.5})); err != nil {
+		t.Fatal(err)
+	}
+	em := metaFor(`runspec/v1/{"kind":"emulate","i":"em"}`, "emulate", "Butterfly", 32, -4)
+	em.Dim, em.HostFamily, em.HostDim, em.HostSize = 3, "Mesh", 2, 64
+	if _, err := s.Append(em, wire(t, map[string]any{"kind": "emulate", "slowdown": 2.5})); err != nil {
+		t.Fatal(err)
+	}
+	metas = append(metas, em)
+	queries := []Query{{Kind: "emulate"}, {Family: "Mesh", Limit: 4}, {Kind: "beta", Cursor: 5, Limit: 3}, {Family: "nope"}}
 
 	before, beforeNext := s.Query(Query{Limit: 7})
 	beforeAll, _ := s.Query(Query{Limit: MaxQueryLimit})
+	if len(beforeAll) != len(metas) {
+		t.Fatalf("listing holds %d records, want %d (one superseded)", len(beforeAll), len(metas))
+	}
+	if got := beforeAll[len(beforeAll)-2]; got.Key != metas[3].Key || got.Canonical != metas[3].Canonical || got.Size != metas[3].Size {
+		t.Fatalf("superseding record not listed in append order: %+v", got)
+	}
+	if got := beforeAll[len(beforeAll)-1]; got.Key != em.Key || got.HostFamily != "Mesh" || got.HostDim != 2 || got.HostSize != 64 || got.Dim != 3 || got.Seed != -4 {
+		t.Fatalf("emulation meta round trip: %+v", got)
+	}
+	beforeFiltered, _ := json.Marshal(queryAll(s, queries))
 	beforeBodies := make(map[string][]byte)
 	for _, m := range metas {
 		_, b, ok := s.Get(m.Key)
@@ -214,6 +238,9 @@ func TestIndexRebuildByteIdentical(t *testing.T) {
 	if !bytes.Equal(bj, aj) {
 		t.Fatalf("full listing drifted across restart:\n%s\n%s", bj, aj)
 	}
+	if aj, _ := json.Marshal(queryAll(s2, queries)); !bytes.Equal(beforeFiltered, aj) {
+		t.Fatalf("filtered queries drifted across restart:\n%s\n%s", beforeFiltered, aj)
+	}
 	for key, want := range beforeBodies {
 		_, got, ok := s2.Get(key)
 		if !ok || !bytes.Equal(got, want) {
@@ -228,6 +255,37 @@ func TestIndexRebuildByteIdentical(t *testing.T) {
 	}
 	if want := metas[len(metas)-1]; seq <= beforeAll[len(beforeAll)-1].Seq {
 		t.Fatalf("post-restart seq %d did not advance past %d (%+v)", seq, beforeAll[len(beforeAll)-1].Seq, want)
+	}
+}
+
+// queryAll runs each query and collects the pages and next cursors.
+func queryAll(s *Store, qs []Query) []any {
+	var out []any
+	for _, q := range qs {
+		metas, next := s.Query(q)
+		out = append(out, metas, next)
+	}
+	return out
+}
+
+// TestAppendRejectsForeignKeys: the index stores a key as KeyOf's 16
+// digest bytes, so a key of any other form is refused, before disk.
+func TestAppendRejectsForeignKeys(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	good := KeyOf("runspec/v1/{}")
+	for _, key := range []string{"", "k1", good[:len(good)-1], strings.ToUpper(good[:4]) + good[4:], good[:4] + strings.ToUpper(good[4:])} {
+		m := metaFor("runspec/v1/{}", "beta", "Mesh", 16, 1)
+		m.Key = key
+		if _, err := s.Append(m, wire(t, map[string]any{"kind": "beta"})); err == nil {
+			t.Errorf("Append accepted key %q", key)
+		}
+	}
+	if appends, _, _ := s.Counts(); appends != 0 || s.Len() != 0 {
+		t.Fatalf("refused appends reached the store: appends=%d len=%d", appends, s.Len())
 	}
 }
 
@@ -370,5 +428,41 @@ func TestKeyOfStability(t *testing.T) {
 	}
 	if KeyOf("a") == KeyOf("b") {
 		t.Fatal("distinct canonicals share a key")
+	}
+}
+
+// TestIndexBytesPerRecord reports the live heap the in-memory index holds
+// per record — the store's steady memory cost on a long-running server —
+// and bounds it. Records carry a beta spec's canonical string (~170
+// bytes), as the serving path appends them.
+func TestIndexBytesPerRecord(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	body := wire(t, map[string]any{"kind": "beta", "beta": 3.25, "machine": "Mesh(2,4)"})
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	const n = 20000
+	before := heap()
+	for i := 0; i < n; i++ {
+		seed := 1000000000 + int64(i)*7919
+		canonical := fmt.Sprintf(`runspec/v1/{"kind":"beta","machine":{"family":"mesh","dim":2,"size":16},"load_factors":[2,4,8],"trials":2,"strategy":"greedy","traffic":"symmetric","seed":%d}`, seed)
+		m := metaFor(canonical, "beta", "mesh", 16, seed)
+		m.Dim = 2
+		if _, err := s.Append(m, body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	perRecord := float64(int64(heap())-int64(before)) / n
+	t.Logf("index holds %.0f B of live heap per record (%d records)", perRecord, s.Len())
+	if perRecord > 360 {
+		t.Errorf("index costs %.0f B per record, want <= 360", perRecord)
 	}
 }
