@@ -25,7 +25,7 @@ import (
 // out makes β measurable on the reachable traffic.
 type connectedPairs struct {
 	inner traffic.Distribution
-	comp  []int // per-vertex component label
+	comp  []int32 // per-vertex component label
 }
 
 func (c *connectedPairs) Name() string { return c.inner.Name() + "/connected" }
@@ -46,26 +46,20 @@ func (c *connectedPairs) Sample(rng *rand.Rand) traffic.Message {
 
 func (c *connectedPairs) Graph() *multigraph.Multigraph { return c.inner.Graph() }
 
-// deliverableDist returns dist unchanged when every processor of m lies in
-// one connected component, and a component-filtered wrapper otherwise.
-// Connected machines therefore keep the exact rng draw sequence (and so the
-// exact measured values) they had before disconnected machines were
-// supported.
-func deliverableDist(m *topology.Machine, dist traffic.Distribution) traffic.Distribution {
-	if m.Graph == nil {
+// deliverableDist returns dist unchanged when every processor of the
+// engine's machine lies in one connected component, and a
+// component-filtered wrapper otherwise. Connected machines therefore keep
+// the exact rng draw sequence (and so the exact measured values) they had
+// before disconnected machines were supported. The component labels come
+// from the engine, which computes them once.
+func deliverableDist(eng *routing.Engine, dist traffic.Distribution) traffic.Distribution {
+	comp := eng.ComponentLabels()
+	if comp == nil {
 		// Implicit machines are connected by construction; returning early
 		// keeps their rng draw sequence identical to their explicit twins'.
 		return dist
 	}
-	comp := make([]int, m.Graph.N())
-	for i := range comp {
-		comp[i] = -1
-	}
-	for label, vs := range m.Graph.Components() {
-		for _, v := range vs {
-			comp[v] = label
-		}
-	}
+	m := eng.M
 	connected := true
 	for v := 1; v < m.N(); v++ {
 		if comp[v] != comp[0] {
@@ -78,7 +72,7 @@ func deliverableDist(m *topology.Machine, dist traffic.Distribution) traffic.Dis
 	}
 	// At least one component must hold two processors, or no message is
 	// ever deliverable.
-	count := make(map[int]int)
+	count := make(map[int32]int)
 	ok := false
 	for v := 0; v < m.N(); v++ {
 		count[comp[v]]++

@@ -1,10 +1,12 @@
 package bandwidth
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro/internal/measure"
+	"repro/internal/routing"
 	"repro/internal/topology"
 	"repro/internal/traffic"
 )
@@ -35,7 +37,7 @@ func TestMeasureBetaOnDisconnectedMachine(t *testing.T) {
 func TestDeliverableDistPassThrough(t *testing.T) {
 	m := topology.Mesh(2, 4)
 	dist := traffic.NewSymmetric(m.N())
-	if got := deliverableDist(m, dist); got != dist {
+	if got := deliverableDist(routing.NewEngine(m, routing.Greedy), dist); got != dist {
 		t.Fatalf("connected machine was wrapped: %v", got.Name())
 	}
 	meas := MeasureBeta(m, dist, MeasureOptions{LoadFactors: []int{2}, Trials: 1}, rand.New(rand.NewSource(52)))
@@ -48,7 +50,7 @@ func TestDeliverableDistPassThrough(t *testing.T) {
 func TestConnectedPairsSamples(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	m, _ := topology.DeleteRandomProcessors(topology.Mesh(2, 4), 5, rng)
-	dist := deliverableDist(m, traffic.NewSymmetric(m.N()))
+	dist := deliverableDist(routing.NewEngine(m, routing.Greedy), traffic.NewSymmetric(m.N()))
 	if dist.Name() != "symmetric[16]/connected" {
 		t.Fatalf("name %q", dist.Name())
 	}
@@ -112,4 +114,73 @@ func TestMeasureBetaUnderFaultsTooFewTicksPanics(t *testing.T) {
 		}
 	}()
 	MeasureBetaUnderFaults(topology.Ring(8), []float64{0.1}, 10, measure.NewSeedPlan(1))
+}
+
+// deliverableDistUncached is deliverableDist as it was before the engine
+// cached component labels: Graph.Components on every call. It stays here
+// as the reference the cached path must agree with.
+func deliverableDistUncached(m *topology.Machine, dist traffic.Distribution) traffic.Distribution {
+	if m.Graph == nil {
+		return dist
+	}
+	comp := make([]int32, m.Graph.N())
+	for label, vs := range m.Graph.Components() {
+		for _, v := range vs {
+			comp[v] = int32(label)
+		}
+	}
+	for v := 1; v < m.N(); v++ {
+		if comp[v] != comp[0] {
+			return &connectedPairs{inner: dist, comp: comp}
+		}
+	}
+	return dist
+}
+
+// The engine's cached component labels give the same filtered traffic,
+// the same measurement and the same rng state as the per-call
+// Graph.Components path, on cold and warm engines; connected machines
+// keep the unwrapped distribution and so their draw sequence.
+func TestDeliverableDistCachedMatchesUncached(t *testing.T) {
+	rng := rand.New(rand.NewSource(54))
+	nodes, _ := topology.DeleteRandomProcessors(topology.Mesh(2, 6), 9, rng)
+	edges := topology.DeleteRandomEdges(topology.Torus(2, 6), 0.55, rng)
+	for _, m := range []*topology.Machine{nodes, edges} {
+		if m.Graph.Connected() {
+			t.Fatalf("%s: degraded machine is still connected; pick another seed", m.Name)
+		}
+		dist := traffic.NewSymmetric(m.N())
+		eng := routing.NewEngine(m, routing.Greedy)
+		for pass := 0; pass < 2; pass++ { // cold, then warm labels
+			got, want := deliverableDist(eng, dist), deliverableDistUncached(m, dist)
+			if got.Name() != want.Name() {
+				t.Fatalf("%s: name %q, uncached %q", m.Name, got.Name(), want.Name())
+			}
+			r1, r2 := rand.New(rand.NewSource(55)), rand.New(rand.NewSource(55))
+			for i := 0; i < 300; i++ {
+				if a, b := got.Sample(r1), want.Sample(r2); a != b {
+					t.Fatalf("%s pass %d: sample %d is %+v, uncached %+v", m.Name, pass, i, a, b)
+				}
+			}
+			if r1.Int63() != r2.Int63() {
+				t.Fatalf("%s pass %d: rng state diverged", m.Name, pass)
+			}
+		}
+		opts := MeasureOptions{LoadFactors: []int{2, 3}, Trials: 2}
+		r1, r2 := rand.New(rand.NewSource(56)), rand.New(rand.NewSource(56))
+		cold := MeasureBetaOn(routing.NewEngine(m, routing.Greedy), dist, opts, r1)
+		warm := MeasureBetaOn(eng, dist, opts, r2)
+		if cold.Beta != warm.Beta || cold.Dist != warm.Dist || fmt.Sprint(cold.RateByLoad) != fmt.Sprint(warm.RateByLoad) {
+			t.Fatalf("%s: warm-engine measurement %+v, cold %+v", m.Name, warm, cold)
+		}
+		if r1.Int63() != r2.Int63() {
+			t.Fatalf("%s: rng state diverged between cold and warm measurements", m.Name)
+		}
+	}
+	for _, m := range []*topology.Machine{topology.Mesh(2, 4), topology.Butterfly(3), topology.ImplicitMesh(2, 4)} {
+		dist := traffic.NewSymmetric(m.N())
+		if got := deliverableDist(routing.NewEngine(m, routing.Greedy), dist); got != dist {
+			t.Fatalf("%s: connected machine was wrapped as %q", m.Name, got.Name())
+		}
+	}
 }

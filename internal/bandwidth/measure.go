@@ -95,7 +95,7 @@ func MeasureBetaOn(eng *routing.Engine, dist traffic.Distribution, opts MeasureO
 	// undeliverable, which would stall the batch router forever; restrict
 	// the traffic to same-component pairs. Connected machines pass through
 	// untouched, keeping their historical rng sequences.
-	dist = deliverableDist(m, dist)
+	dist = deliverableDist(eng, dist)
 	opts = opts.withDefaults()
 	plan := measure.NewSeedPlan(rng.Int63())
 	out := Measurement{Machine: m, Dist: dist.Name(), RateByLoad: make(map[int]float64)}

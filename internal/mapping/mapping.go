@@ -177,8 +177,9 @@ func refineFixedSize(g *multigraph.Multigraph, side []bool, _ int) int64 {
 	for iter := 0; iter < 2*n; iter++ {
 		bestU, bestV := -1, -1
 		var bestDelta int64
+		topFalse := top(false)
 		for _, u := range top(true) {
-			for _, v := range top(false) {
+			for _, v := range topFalse {
 				delta := gain[u] + gain[v] - 2*g.Multiplicity(u, v)
 				if delta > bestDelta {
 					bestDelta, bestU, bestV = delta, u, v

@@ -130,6 +130,9 @@ type Engine struct {
 	nbrV     []int32
 	nbrMult  []int64
 	edgeBase []int32
+	// outMult[u] is the summed multiplicity of u's out-wires: at most this
+	// many packets leave u in one tick (explicit machines only).
+	outMult []int64
 
 	// geom is the closed-form geometry of a pristine hypercube, mesh or
 	// torus in either representation (topology's Machine.Generator), nil
@@ -155,6 +158,11 @@ type Engine struct {
 	// distance fields, dead-wire skipping) costs the fault-free hot path
 	// nothing beyond a nil check.
 	live *liveState
+
+	// comp labels the machine graph's connected components (explicit
+	// machines only), computed once by ComponentLabels.
+	compOnce sync.Once
+	comp     []int32
 
 	// simFree pools retired sims for reuse via AcquireSim/ReleaseSim, so
 	// repeated measurements on one engine (open-loop bisection, warm
@@ -245,11 +253,13 @@ func NewEngine(m *topology.Machine, strategy Strategy) *Engine {
 		e.edgeBase[g.N()] = int32(e.numEdges)
 		e.nbrV = make([]int32, e.numEdges)
 		e.nbrMult = make([]int64, e.numEdges)
+		e.outMult = make([]int64, g.N())
 		for u := 0; u < g.N(); u++ {
 			j := e.edgeBase[u]
 			for _, v := range g.Neighbors(u) { // sorted
 				e.nbrV[j] = int32(v)
 				e.nbrMult[j] = g.Multiplicity(u, v)
+				e.outMult[u] += e.nbrMult[j]
 				j++
 			}
 		}
@@ -280,6 +290,55 @@ func NewEngine(m *topology.Machine, strategy Strategy) *Engine {
 		}
 	}
 	return e
+}
+
+// ComponentLabels returns the connected-component label of every vertex
+// of an explicit machine's graph, components numbered in the order of
+// their smallest vertex. It is computed once per engine: the graph is
+// immutable, and the fault mask never enters it. Implicit machines are
+// connected by construction and get nil. Treat the result as read-only.
+func (e *Engine) ComponentLabels() []int32 {
+	if e.edgeBase == nil {
+		return nil
+	}
+	e.compOnce.Do(func() {
+		comp := make([]int32, e.numVerts)
+		for i := range comp {
+			comp[i] = -1
+		}
+		var queue []int32
+		label := int32(0)
+		for s := range comp {
+			if comp[s] >= 0 {
+				continue
+			}
+			comp[s] = label
+			queue = append(queue[:0], int32(s))
+			for len(queue) > 0 {
+				u := queue[len(queue)-1]
+				queue = queue[:len(queue)-1]
+				for _, v := range e.nbrV[e.edgeBase[u]:e.edgeBase[u+1]] {
+					if comp[v] < 0 {
+						comp[v] = label
+						queue = append(queue, v)
+					}
+				}
+			}
+			label++
+		}
+		e.comp = comp
+	})
+	return e.comp
+}
+
+// wireCap bounds how many packets u can forward in one tick: the summed
+// multiplicity of its out-wires, or on implicit machines (every wire of
+// multiplicity 1) the maximum degree.
+func (e *Engine) wireCap(u int) int64 {
+	if e.edgeBase == nil {
+		return int64(e.gDeg)
+	}
+	return e.outMult[u]
 }
 
 // edgeEnds recovers the (from, to) vertices of a directed edge id.

@@ -91,6 +91,13 @@ type simShard struct {
 	sortKeys []int       // FarthestFirst scratch
 	sortBuf  []simPacket // FarthestFirst gather scratch
 
+	// failedAt[dst] == failStamp records that a hop toward dst found no
+	// free downhill wire during the vertex service in progress. The stamp
+	// advances once per vertex service, so the memo never needs clearing
+	// (except when the stamp wraps).
+	failedAt  []uint32
+	failStamp uint32
+
 	// Chunk arena for the owned vertices' queues.
 	pages    [][]qChunk
 	freeHead int32 // head of the free-chunk list; -1 when empty
@@ -206,6 +213,19 @@ func (sh *simShard) qfree(q *vqueue) {
 // delivered, and posts the other moved packets to the destination shard's
 // mailbox. Queue chains are compacted in place (the write cursor never
 // passes the read cursor).
+//
+// Two shortcuts skip pickHop calls whose answer is already known to be
+// "no free wire". Both are exact because a failing pickHop draws nothing
+// from the vertex's stream: it draws once per free downhill wire it finds,
+// and it fails only when it finds none. During u's service the usage of
+// u's out-wires only grows, and liveness changes only between ticks, so
+//   - once pickHop(u, dst) has failed, it fails for every later packet at
+//     u with the same current target (the failedAt memo); and
+//   - on fault-free runs, once u has moved as many packets as its out-wires
+//     carry per tick, every later pickHop fails (capLeft starts at that
+//     capacity). Under faults the remaining packets still need their
+//     per-packet TTL and retry bookkeeping, so there only the vertex's own
+//     forwarding cap bounds capLeft, as before.
 func (sh *simShard) move(s *Sim) {
 	for _, id := range sh.touched {
 		s.edgeUsed[id] = 0
@@ -220,6 +240,7 @@ func (sh *simShard) move(s *Sim) {
 	caps := eng.caps
 	farthest := eng.Discipline == FarthestFirst
 	now := s.now
+	root := s.tickRoot()
 	// Canonical service order: ascending vertex id, the active set's bit
 	// order. Fairness across ticks comes from the positional randomness of
 	// the hop choices, not from shuffling the service order. The walk
@@ -232,7 +253,7 @@ func (sh *simShard) move(s *Sim) {
 			if qn > sh.maxQueue {
 				sh.maxQueue = qn
 			}
-			vr := s.vertexRand(u)
+			vr := vertexRand(root, u)
 			if farthest && qn > 1 {
 				sh.sortFarthestFirst(s, u, q)
 			}
@@ -240,6 +261,17 @@ func (sh *simShard) move(s *Sim) {
 			if caps != nil {
 				capLeft = caps[u]
 			}
+			if fs == nil {
+				if wc := eng.wireCap(u); capLeft < 0 || wc < capLeft {
+					capLeft = wc
+				}
+			}
+			sh.failStamp++
+			if sh.failStamp == 0 {
+				clear(sh.failedAt)
+				sh.failStamp = 1
+			}
+			stamp := sh.failStamp
 			rci, wci := q.head, q.head
 			rC, wC := sh.chunk(rci), sh.chunk(rci)
 			ri, wi := 0, 0
@@ -263,7 +295,10 @@ func (sh *simShard) move(s *Sim) {
 						}
 					}
 					if !keep {
-						h, edge := eng.pickHop(int(p.at), int(p.dst), s.edgeUsed, &vr)
+						h, edge := -1, int32(-1)
+						if sh.failedAt[p.dst] != stamp {
+							h, edge = eng.pickHop(int(p.at), int(p.dst), s.edgeUsed, &vr)
+						}
 						if h >= 0 {
 							if s.edgeUsed[edge] == 0 {
 								sh.touched = append(sh.touched, edge)
@@ -292,6 +327,7 @@ func (sh *simShard) move(s *Sim) {
 							sh.outbox[dst] = append(sh.outbox[dst], arrival{sender: int32(u), p: p})
 							continue
 						}
+						sh.failedAt[p.dst] = stamp
 						if fs != nil && eng.distance(u, int(p.dst)) < 0 {
 							// Stranded: no live path to the current target.
 							if p.phase1 {

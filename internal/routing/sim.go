@@ -31,8 +31,9 @@ type Sim struct {
 	eng *Engine
 	rng *rand.Rand // injection-side stream: sampling and Valiant intermediates
 
-	// planState roots the per-(tick, vertex) decision streams; vertexRand
-	// derives them exactly as measure.SeedPlan.Fork(tick, vertex) would.
+	// planState roots the per-(tick, vertex) decision streams; tickRoot and
+	// vertexRand derive them exactly as measure.SeedPlan.Fork(tick, vertex)
+	// would.
 	planState uint64
 
 	shards  []*simShard
@@ -162,7 +163,7 @@ func (e *Engine) newSim(rng *rand.Rand, shards int, assign []int) *Sim {
 	}
 	s.shards = make([]*simShard, shards)
 	for i := range s.shards {
-		s.shards[i] = &simShard{id: i, freeHead: -1, activeLo: n}
+		s.shards[i] = &simShard{id: i, freeHead: -1, activeLo: n, failedAt: make([]uint32, n)}
 	}
 	// Each shard's active bitset spans its lowest to highest owned id.
 	hi := make([]int, shards)
@@ -315,15 +316,19 @@ func (s *Sim) Close() {
 	s.stopWorkers()
 }
 
-// vertexRand derives vertex u's decision stream for the current tick:
-// exactly the stream measure.SeedPlan.Fork(tick, vertex) addresses, inlined
-// so the hot path stays free of variadic calls. Keying by (tick, vertex) —
-// never by shard — is what makes results independent of the shard count.
-func (s *Sim) vertexRand(u int) vrand {
-	st := s.planState
-	st = mix64(st + 0x9e3779b97f4a7c15 + mix64(uint64(s.now)))
-	st = mix64(st + 0x9e3779b97f4a7c15 + mix64(uint64(u)))
-	return vrand{state: st}
+// tickRoot is the current tick's half of every vertex's decision stream,
+// the same for all vertices, so a move phase computes it once.
+func (s *Sim) tickRoot() uint64 {
+	return mix64(s.planState + 0x9e3779b97f4a7c15 + mix64(uint64(s.now)))
+}
+
+// vertexRand derives vertex u's decision stream for the tick whose
+// tickRoot is given: exactly the stream measure.SeedPlan.Fork(tick, vertex)
+// addresses, inlined so the hot path stays free of variadic calls. Keying
+// by (tick, vertex) — never by shard — is what makes results independent
+// of the shard count.
+func vertexRand(tickRoot uint64, u int) vrand {
+	return vrand{state: mix64(tickRoot + 0x9e3779b97f4a7c15 + mix64(uint64(u)))}
 }
 
 // Now returns the current tick.

@@ -32,9 +32,20 @@ func (r *vrand) next() uint64 {
 
 // intn returns a value in [0, n). n must be positive. The tiny modulo bias
 // is irrelevant at the n <= degree sizes the router uses (tie-breaking among
-// a handful of wires), and the modulo keeps intn branch-free and cheap.
+// a handful of wires). Every call advances the state by one step, whatever
+// n is; the shortcuts for n == 1 (always 0, so the mix is skipped) and for
+// powers of two (a mask equals the modulo) return exactly what the modulo
+// would.
 func (r *vrand) intn(n int) int {
-	return int(r.next() % uint64(n))
+	if n == 1 {
+		r.state += 0x9e3779b97f4a7c15
+		return 0
+	}
+	x := r.next()
+	if n&(n-1) == 0 {
+		return int(x & uint64(n-1))
+	}
+	return int(x % uint64(n))
 }
 
 // mix64 is the splitmix64 finalizer (the same avalanche measure.SeedPlan

@@ -2,10 +2,12 @@ package cluster
 
 import (
 	"context"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -451,5 +453,50 @@ func TestPostDetectsOverLimitResponse(t *testing.T) {
 	}
 	if d.Health().Alive(w1) {
 		t.Fatal("over-limit body did not mark the worker dead")
+	}
+}
+
+// Concurrent forwards to one worker must reuse their connections: after
+// the first burst has dialed one connection per caller, later bursts find
+// them all in the dispatcher's idle pool and dial nothing.
+// http.DefaultTransport keeps only 2 idle connections per host, so there
+// every burst beyond the first re-dialed all but two.
+func TestForwardReusesConnectionsUnderConcurrentBursts(t *testing.T) {
+	const callers, bursts = 8, 8
+	var dials atomic.Int64
+	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		// Hold each request long enough that a burst's forwards are all
+		// in flight at once.
+		time.Sleep(15 * time.Millisecond)
+		w.Write([]byte("{}"))
+	}))
+	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			dials.Add(1)
+		}
+	}
+	ts.Start()
+	defer ts.Close()
+	d := NewDispatcher([]string{addrOf(ts)}, fastOpts())
+	defer d.Close()
+
+	for b := 0; b < bursts; b++ {
+		var wg sync.WaitGroup
+		for c := 0; c < callers; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if res, ok := d.Forward(context.Background(), "k", "/v1/measure", []byte("{}")); !ok || res.Status != http.StatusOK {
+					t.Errorf("forward failed: ok=%v status=%d", ok, res.Status)
+				}
+			}()
+		}
+		wg.Wait()
+		// Let the transport return the last responses' connections to
+		// its idle pool before the next burst asks for them.
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := dials.Load(); n > callers {
+		t.Fatalf("%d bursts of %d concurrent forwards opened %d connections, want at most %d", bursts, callers, n, callers)
 	}
 }

@@ -44,7 +44,9 @@ type Options struct {
 	FailureThreshold int
 	// Transport, when non-nil, replaces the forward client's transport
 	// — the chaos-injection seam (internal/chaos.Transport) and a proxy
-	// hook for tests. Health probes do not pass through it.
+	// hook for tests. Health probes do not pass through it. Nil selects
+	// a clone of http.DefaultTransport that keeps
+	// forwardIdleConnsPerWorker idle connections per worker.
 	Transport http.RoundTripper
 	// Validate, when non-nil, vets every answered forward before it is
 	// accepted: a non-nil error is treated exactly like a transport
@@ -79,8 +81,29 @@ func (o Options) withDefaults() Options {
 	if o.Validate == nil {
 		o.Validate = ValidJSONBody
 	}
+	if o.Transport == nil {
+		t := http.DefaultTransport.(*http.Transport).Clone()
+		t.MaxIdleConns = 0 // no pool-wide cap; the per-worker one binds
+		t.MaxIdleConnsPerHost = forwardIdleConnsPerWorker
+		o.Transport = t
+	}
 	return o
 }
+
+// forwardIdleConnsPerWorker is how many idle keep-alive connections the
+// forward transport keeps per worker. Forwards bypass the coordinator's
+// admission (the worker's queue is the backpressure point), so the
+// coordinator can have as many forwards in flight to one worker as it has
+// concurrent requests. http.DefaultTransport keeps only 2 idle
+// connections per host: with more forwards than that in flight, every
+// connection beyond the second is closed when its response is read and
+// dialed again for a later forward, which costs a dial, an accept, a
+// close and fresh connection goroutines on both daemons per forward. 64
+// covers a worker's own admission capacity at its defaults (one running
+// computation per CPU plus a 16-deep queue; it sheds the rest with 429)
+// with room to spare, and idle connections still close after the
+// transport's idle timeout.
+const forwardIdleConnsPerWorker = 64
 
 // DefaultFailureThreshold is how many consecutive failures open a
 // worker's circuit breaker unless Options overrides it. Three keeps one

@@ -13,6 +13,7 @@ package topology
 
 import (
 	"fmt"
+	"unicode/utf8"
 
 	"repro/internal/multigraph"
 )
@@ -229,24 +230,35 @@ func (m *Machine) validate() *Machine {
 // ParseFamily resolves a family by its display name, case-insensitively,
 // accepting both "X-Tree" and "xtree" spellings.
 func ParseFamily(name string) (Family, error) {
-	norm := func(s string) string {
-		out := make([]rune, 0, len(s))
-		for _, r := range s {
-			if r == '-' || r == '_' || r == ' ' {
-				continue
-			}
-			if 'A' <= r && r <= 'Z' {
-				r += 'a' - 'A'
-			}
-			out = append(out, r)
-		}
-		return string(out)
-	}
-	want := norm(name)
-	for _, f := range Families() {
-		if norm(f.String()) == want {
-			return f, nil
-		}
+	var buf [64]byte
+	if f, ok := familyByName[string(normFamilyName(buf[:0], name))]; ok {
+		return f, nil
 	}
 	return 0, fmt.Errorf("topology: unknown family %q", name)
+}
+
+// familyByName maps every family's normalized display name to the
+// family, built once.
+var familyByName = func() map[string]Family {
+	m := make(map[string]Family, int(numFamilies))
+	for _, f := range Families() {
+		m[string(normFamilyName(nil, f.String()))] = f
+	}
+	return m
+}()
+
+// normFamilyName appends name to dst with '-', '_' and ' ' dropped and
+// ASCII letters lower-cased, rune by rune (invalid UTF-8 reads as
+// U+FFFD).
+func normFamilyName(dst []byte, name string) []byte {
+	for _, r := range name {
+		if r == '-' || r == '_' || r == ' ' {
+			continue
+		}
+		if 'A' <= r && r <= 'Z' {
+			r += 'a' - 'A'
+		}
+		dst = utf8.AppendRune(dst, r)
+	}
+	return dst
 }
